@@ -534,20 +534,36 @@ def max_asr_sca(
 def _rounding_directions(
     W_star: np.ndarray, n_randomizations: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
-    """Leading eigenvector plus unit-norm Gaussian directions shaped by W_star."""
+    """Leading eigenvector plus unit-norm Gaussian directions shaped by W_star.
+
+    Neither depends on the eigenbasis LAPACK happens to return, so the
+    rounded precoder moves continuously with W_star: the Gaussian candidates
+    are W_star^{1/2} z with the Hermitian square root, and the leading
+    eigenvector is rotated so that its largest-modulus entry is real and
+    positive (the Monte-Carlo secrecy rate under frozen noise depends on the
+    global phase of v).  Also returns the ascending spectrum.
+    """
     lam, U = np.linalg.eigh((W_star + W_star.conj().T) / 2)
     if lam[-1] <= 0:
         raise NumericalError("lifted solution has no positive eigenvalue")
     n = W_star.shape[0]
-    factor = U * np.sqrt(np.clip(lam, 0.0, None))
+    root = (U * np.sqrt(np.clip(lam, 0.0, None))) @ U.conj().T
+    lead = U[:, -1]
+    pivot = lead[np.argmax(np.abs(lead))]
+    lead = lead * (np.abs(pivot) / pivot)
     directions = []
     for _ in range(n_randomizations):
         z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
-        xi = factor @ z
+        xi = root @ z
         norm = np.linalg.norm(xi)
         if norm > 0:
             directions.append(xi / norm)
-    return U[:, -1], directions, lam
+    return lead, directions, lam
+
+
+def _is_rank_one(lam: np.ndarray, rank_tol: float) -> bool:
+    """Whether an ascending spectrum with a positive top is numerically rank one."""
+    return len(lam) == 1 or lam[-2] / lam[-1] <= rank_tol
 
 
 def extract_precoder(
@@ -572,7 +588,7 @@ def extract_precoder(
     n_tx = cache.n_tx
     lead_dir, directions, lam = _rounding_directions(W_star, params.n_randomizations, rng)
     lead = np.sqrt(n_tx) * lead_dir
-    if len(lam) == 1 or lam[-2] / lam[-1] <= params.rank_tol:
+    if _is_rank_one(lam, params.rank_tol):
         return lead
     candidates = [lead] + [np.sqrt(n_tx) * d for d in directions]
     scores = [asr(cache, c, clamp=False) for c in candidates]
@@ -598,10 +614,14 @@ def power_sweep_rounding(
     point) and the best (direction, power) pair by approximate secrecy
     rate is returned.  The grid includes both the full budget and
     tr(W_star), so the result is never worse than full-power rounding over
-    the same directions.
+    the same directions.  As in :func:`extract_precoder`, a numerically
+    rank-one W_star sweeps only the leading eigenvector (the Gaussian draws
+    are still taken, so the generator advances the same way).
     """
     n_tx = cache.n_tx
-    lead_dir, directions, _ = _rounding_directions(W_star, params.n_randomizations, rng)
+    lead_dir, directions, lam = _rounding_directions(W_star, params.n_randomizations, rng)
+    if _is_rank_one(lam, params.rank_tol):
+        directions = []
     trace_w = float(np.clip(np.real(np.trace(W_star)), n_tx / n_power_grid, n_tx))
     t_grid = np.unique(
         np.concatenate([np.linspace(n_tx / n_power_grid, n_tx, n_power_grid), [trace_w]])
