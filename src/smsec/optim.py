@@ -541,16 +541,20 @@ def _rounding_directions(
     are W_star^{1/2} z with the Hermitian square root, and the leading
     eigenvector is rotated so that its largest-modulus entry is real and
     positive (the Monte-Carlo secrecy rate under frozen noise depends on the
-    global phase of v).  Also returns the ascending spectrum.
+    global phase of v).  When W_star has no positive eigenvalue (the relaxed
+    solution collapsed to 0) the lead is the normalised all-ones direction
+    and the candidates are isotropic.  Also returns the ascending spectrum.
     """
     lam, U = np.linalg.eigh((W_star + W_star.conj().T) / 2)
-    if lam[-1] <= 0:
-        raise NumericalError("lifted solution has no positive eigenvalue")
     n = W_star.shape[0]
-    root = (U * np.sqrt(np.clip(lam, 0.0, None))) @ U.conj().T
-    lead = U[:, -1]
-    pivot = lead[np.argmax(np.abs(lead))]
-    lead = lead * (np.abs(pivot) / pivot)
+    if lam[-1] > 0:
+        root = (U * np.sqrt(np.clip(lam, 0.0, None))) @ U.conj().T
+        lead = U[:, -1]
+        pivot = lead[np.argmax(np.abs(lead))]
+        lead = lead * (np.abs(pivot) / pivot)
+    else:
+        root = np.eye(n)
+        lead = np.ones(n, dtype=complex) / np.sqrt(n)
     directions = []
     for _ in range(n_randomizations):
         z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
@@ -562,8 +566,8 @@ def _rounding_directions(
 
 
 def _is_rank_one(lam: np.ndarray, rank_tol: float) -> bool:
-    """Whether an ascending spectrum with a positive top is numerically rank one."""
-    return len(lam) == 1 or lam[-2] / lam[-1] <= rank_tol
+    """Whether an ascending spectrum is numerically rank one (and nonzero)."""
+    return lam[-1] > 0 and (len(lam) == 1 or lam[-2] / lam[-1] <= rank_tol)
 
 
 def extract_precoder(
@@ -583,10 +587,13 @@ def extract_precoder(
 
     See :func:`power_sweep_rounding` for rounding that also searches over
     transmit power, which matters when the lifted solution's trace sits
-    strictly inside the budget.
+    strictly inside the budget.  Raises :class:`NumericalError` when W_star
+    has no positive eigenvalue.
     """
     n_tx = cache.n_tx
     lead_dir, directions, lam = _rounding_directions(W_star, params.n_randomizations, rng)
+    if lam[-1] <= 0:
+        raise NumericalError("lifted solution has no positive eigenvalue")
     lead = np.sqrt(n_tx) * lead_dir
     if _is_rank_one(lam, params.rank_tol):
         return lead
@@ -616,7 +623,10 @@ def power_sweep_rounding(
     tr(W_star), so the result is never worse than full-power rounding over
     the same directions.  As in :func:`extract_precoder`, a numerically
     rank-one W_star sweeps only the leading eigenvector (the Gaussian draws
-    are still taken, so the generator advances the same way).
+    are still taken, so the generator advances the same way).  A W_star
+    with no positive eigenvalue, which SCA reaches when the relaxed optimum
+    collapses to 0, sweeps the all-ones direction and isotropic draws
+    instead of raising.
     """
     n_tx = cache.n_tx
     lead_dir, directions, lam = _rounding_directions(W_star, params.n_randomizations, rng)

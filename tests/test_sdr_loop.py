@@ -84,6 +84,18 @@ def test_extract_rejects_zero_matrix(instance):
         extract_precoder(cache, np.zeros((4, 4)), SCAParams(), np.random.default_rng(0))
 
 
+def test_power_sweep_handles_zero_matrix(instance):
+    # SCA can collapse the relaxed optimum to W = 0 at low SNR; the sweep
+    # then rounds the all-ones direction and isotropic draws, never raising
+    *_, cache = instance
+    v = power_sweep_rounding(
+        cache, np.zeros((4, 4), dtype=complex), SCAParams(), np.random.default_rng(0)
+    )
+    assert np.all(np.isfinite(v))
+    assert np.sum(np.abs(v) ** 2) <= 4 * (1 + 1e-9)
+    assert asr(cache, v) >= asr(cache, S.default_precoder(4)) - 1e-12
+
+
 def test_power_sweep_at_least_as_good_as_full_power(rng):
     for seed in range(5):
         *_, cache = make_instance(seed=seed, sigma2=10 ** -1.5)
