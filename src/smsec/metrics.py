@@ -15,17 +15,25 @@ Two routes to the same quantity:
   dimension of the noise subspace the likelihood ratio depends on; the
   bound is additionally floored at 0 because I >= 0.
 
-The closed form is driven by :class:`QuadFormCache`: for every ordered pair
-of SM symbols it precomputes the Hermitian matrix that turns the whitened
-pairwise distance into a quadratic form in the precoding vector,
+The closed form is driven by whitened pairwise distances.  For the SM
+symbols s_k (the columns of S = ``codebook.signal_matrix()``, N_t x K) and
+a precoding vector v,
 
     ||Q^{-1/2} C diag(v) (s_k - s_k')||^2 = v^H A_{kk'} v,
-    A_{kk'} = (C^H Q^{-1} C) * conj(d d^H)  elementwise, d = s_k - s_k'.
+    A_{kk'} = R * conj(d d^H)  elementwise, d = s_k - s_k', R = C^H Q^{-1} C.
 
 Note the conjugate on the symbol-difference outer product: it is required
 for the identity above to hold per pair (the Hadamard factorization of
 diag(v)^H R diag(v) pairs R with the *transpose* of the difference outer
-product).  Since d has at most two nonzero entries, each A has at most four.
+product).  No A_{kk'} is ever formed.  With X = diag(v) S every distance
+is a difference of entries of one K x K Gram matrix,
+
+    v^H A_{kk'} v = G_kk + G_k'k' - 2 Re G_kk',  G = X^H R X,
+
+so all K^2 quadratic forms cost O(K N_t^2 + K^2 N_t) and
+:class:`QuadFormCache` holds only S and the two N_t x N_t Grams R.  The
+lifted traces tr(W A_{kk'}) and the softmax-weighted sums of the A_{kk'}
+used by the optimizers follow the same way (see ``smsec.optim``).
 
 All log-of-sum-of-exponentials are evaluated with max-shifting so that high
 signal-to-noise ratios do not underflow.
@@ -75,21 +83,20 @@ def log2sumexp2(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadFormCache:
-    """Pairwise quadratic-form matrices for both links, plus the Gram factors.
+    """What the pairwise quadratic forms of both links are computed from.
 
-    ``b_mats``/``e_mats`` have shape (N_t, M, N_t, M, N_t, N_t): entry
-    [n-1, m-1, n'-1, m'-1] is the Hermitian PSD matrix pairing symbol
-    (n, m) against (n', m') on the legitimate / eavesdropper link.  The
-    diagonal pairs (n, m) == (n', m') are exactly zero.
-
-    ``gram_b``/``gram_e`` are the whitened channel Grams C^H Q^{-1} C.
-    ``noise_dim_b``/``noise_dim_e`` bound the rank of each Gram (the link's
-    min(N, N_t)); ``None`` falls back to ``n_tx``, which is always valid.
-    Immutable after construction; safe to share across threads.
+    ``signals`` is the SM signal matrix S (N_t x K), column k the symbol
+    s_k in antenna-major order.  ``gram_b``/``gram_e`` are the whitened
+    channel Grams R = C^H Q^{-1} C of the legitimate / eavesdropper link.
+    The pair matrix of symbols (k, k') on a link is R * conj(d d^H) with
+    d = s_k - s_k'; the kernels never form it, and :meth:`pair_matrix`
+    builds one on demand for checks.  ``noise_dim_b``/``noise_dim_e`` bound
+    the rank of each Gram (the link's min(N, N_t)); ``None`` falls back to
+    ``n_tx``, which is always valid.  The arrays take O(N_t K + N_t^2)
+    memory.  Immutable after construction; safe to share across threads.
     """
 
-    b_mats: np.ndarray
-    e_mats: np.ndarray
+    signals: np.ndarray
     gram_b: np.ndarray
     gram_e: np.ndarray
     p1: float
@@ -102,6 +109,14 @@ class QuadFormCache:
     def n_signals(self) -> int:
         return self.M * self.n_tx
 
+    def gram(self, side: str) -> np.ndarray:
+        """Whitened Gram C^H Q^{-1} C of the ``side`` link."""
+        if side == "bob":
+            return self.gram_b
+        if side == "eve":
+            return self.gram_e
+        raise ValueError(f"side must be 'bob' or 'eve', got {side!r}")
+
     def noise_dim(self, side: str) -> int:
         """Integer >= rank(C^H Q^{-1} C) of the ``side`` link."""
         if side == "bob":
@@ -112,16 +127,14 @@ class QuadFormCache:
             raise ValueError(f"side must be 'bob' or 'eve', got {side!r}")
         return self.n_tx if dim is None else dim
 
-    @property
-    def b_flat(self) -> np.ndarray:
-        """b_mats with the two (n, m) pairs flattened antenna-major: (K, K, N_t, N_t)."""
-        K = self.n_signals
-        return self.b_mats.reshape(K, K, self.n_tx, self.n_tx)
+    def pair_matrix(self, side: str, k: int, kp: int) -> np.ndarray:
+        """Hermitian PSD pair matrix A_{kk'} (N_t x N_t) of the ``side`` link.
 
-    @property
-    def e_flat(self) -> np.ndarray:
-        K = self.n_signals
-        return self.e_mats.reshape(K, K, self.n_tx, self.n_tx)
+        v^H A_{kk'} v is the whitened distance between symbols k and k'
+        (0-based, antenna-major) under precoder v; zero when k == k'.
+        """
+        d = self.signals[:, k] - self.signals[:, kp]
+        return self.gram(side) * np.outer(d.conj(), d)
 
     def pair_index(self, n: int, m: int) -> int:
         """Flatten 1-based (n, m) to the antenna-major linear index."""
@@ -175,55 +188,48 @@ def build_cache(
     powers: PowerConfig,
     codebook: SMCodebook,
 ) -> QuadFormCache:
-    """Precompute the pairwise quadratic-form matrices for both links.
+    """Whitened Grams of both links plus the SM signal matrix.
 
     The legitimate link's interference covariance reduces exactly to
     sigma_b^2 * I because the AN projector nulls H; the eavesdropper's is
     the full AN-plus-noise covariance.
     """
     H, G = channels.H, channels.G
-    n_tx, M = codebook.n_tx, codebook.M
+    n_tx = codebook.n_tx
     if H.shape[1] != n_tx:
         raise ValueError("channel and codebook transmit dimensions differ")
 
     # Bob's covariance reduces exactly to sigma_b^2 * I (the projector nulls
     # H); both Grams go through the same solve so a fully symmetric instance
-    # yields bit-identical pair matrices on the two links.
+    # yields bit-identical Grams, hence identical rates, on the two links.
     q_b = powers.sigma2_b * np.eye(H.shape[0])
     q_e = noise_covariance(G, proj, powers.p2, powers.sigma2_e)
-    gram_b = _whitened_gram(H, q_b)
-    gram_e = _whitened_gram(G, q_e)
-
-    diff = _difference_vectors(codebook)  # (K, K, N_t)
-    outer = np.einsum("abi,abj->abij", diff.conj(), diff)
-    b_flat = gram_b[None, None, :, :] * outer
-    e_flat = gram_e[None, None, :, :] * outer
-
-    shape = (n_tx, M, n_tx, M, n_tx, n_tx)
     return QuadFormCache(
-        b_mats=b_flat.reshape(shape),
-        e_mats=e_flat.reshape(shape),
-        gram_b=gram_b,
-        gram_e=gram_e,
+        signals=codebook.signal_matrix(),
+        gram_b=_whitened_gram(H, q_b),
+        gram_e=_whitened_gram(G, q_e),
         p1=powers.p1,
         n_tx=n_tx,
-        M=M,
+        M=codebook.M,
         noise_dim_b=min(H.shape[0], n_tx),
         noise_dim_e=min(G.shape[0], n_tx),
     )
 
 
-def _pair_quadforms(flat_mats: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _pairwise(G: np.ndarray) -> np.ndarray:
+    """Re(G_aa + G_bb - G_ab - G_ba) for every (a, b), shape (K, K).
+
+    For G = S^H M S this is Re d^H M d with d = s_a - s_b: the pairwise
+    distances that M induces between the columns of S.
+    """
+    g = np.real(np.diagonal(G))
+    return g[:, None] + g[None, :] - np.real(G + G.T)
+
+
+def _pair_quadforms(cache: QuadFormCache, side: str, v: np.ndarray) -> np.ndarray:
     """Real quadratic forms v^H A_{kk'} v for every pair, shape (K, K)."""
-    return np.real(np.einsum("abij,i,j->ab", flat_mats, v.conj(), v, optimize=True))
-
-
-def _side_mats(cache: QuadFormCache, side: str) -> np.ndarray:
-    if side == "bob":
-        return cache.b_flat
-    if side == "eve":
-        return cache.e_flat
-    raise ValueError(f"side must be 'bob' or 'eve', got {side!r}")
+    X = v[:, None] * cache.signals
+    return _pairwise(X.conj().T @ (cache.gram(side) @ X))
 
 
 def link_rate_approx(cache: QuadFormCache, side: str, v: np.ndarray) -> float:
@@ -237,7 +243,7 @@ def link_rate_approx(cache: QuadFormCache, side: str, v: np.ndarray) -> float:
     true value.  :func:`mi_lower_bound` is the bound.
     """
     K = cache.n_signals
-    q = _pair_quadforms(_side_mats(cache, side), np.asarray(v, dtype=complex))
+    q = _pair_quadforms(cache, side, np.asarray(v, dtype=complex))
     inner = log2sumexp2(-0.5 * cache.p1 * q / _LN2, axis=1)
     return float(np.log2(K) - np.mean(inner))
 
@@ -263,13 +269,13 @@ def asr(cache: QuadFormCache, v: np.ndarray, clamp: bool = False) -> float:
     Equals link_rate_approx(bob) - link_rate_approx(eve) for every
     (N_b, N_e); it is not built from :func:`mi_lower_bound`, whose Jensen
     offsets differ between the links when N_b != N_e.  Evaluated directly
-    from the cached pair matrices, so the log2(M*N_t) terms cancel
+    from the two links' pairwise distances, so the log2(M*N_t) terms cancel
     analytically.  With ``clamp`` the value is floored at 0, matching the
     reported (rather than optimized) secrecy rate.
     """
     v = np.asarray(v, dtype=complex)
-    qb = _pair_quadforms(cache.b_flat, v)
-    qe = _pair_quadforms(cache.e_flat, v)
+    qb = _pair_quadforms(cache, "bob", v)
+    qe = _pair_quadforms(cache, "eve", v)
     inner_b = log2sumexp2(-0.5 * cache.p1 * qb / _LN2, axis=1)
     inner_e = log2sumexp2(-0.5 * cache.p1 * qe / _LN2, axis=1)
     value = float(np.mean(inner_e - inner_b))

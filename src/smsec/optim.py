@@ -17,6 +17,10 @@ Three methods over the trace-ball feasible set tr(v v^H) <= N_t:
   from the solution by :func:`extract_precoder` (leading eigenvector, or
   Gaussian randomization when the solution is not numerically rank one).
 
+The closed-form objectives, their gradients and the lifted terms never form
+a pair matrix A_{kk'}: each is a pairwise-distance or weighted-sum identity
+over K x K Gram matrices of the SM signal matrix S (see ``smsec.metrics``).
+
 Objectives are optimized unclamped; the [.]^+ floor applies only to
 reported secrecy rates (clamping would kill gradients wherever the
 eavesdropper is momentarily ahead).
@@ -36,6 +40,7 @@ from .metrics import (
     _difference_vectors,
     _mc_per_sample,
     _pair_quadforms,
+    _pairwise,
     QuadFormCache,
     asr,
     log2sumexp2,
@@ -165,20 +170,49 @@ def asr_gradient(cache: QuadFormCache, v: np.ndarray) -> np.ndarray:
     """Conjugate (Wirtinger) gradient of the unclamped approximate secrecy rate.
 
     A perturbation d changes the objective by 2*Re(grad^H d) to first
-    order.  Both links' terms are softmax-weighted sums of the cached pair
-    matrices applied to v, so evaluation is O(K^2 N_t^2) with K = M*N_t.
+    order.  Both links' terms are softmax-weighted sums of the pair
+    matrices applied to v, taken through the links' K x K Gram matrices
+    (see :func:`_weighted_pair_apply`), so evaluation is
+    O(K N_t^2 + K^2 N_t) with K = M*N_t.
     """
     v = np.asarray(v, dtype=complex)
     p1 = cache.p1
-    qb = _pair_quadforms(cache.b_flat, v)
-    qe = _pair_quadforms(cache.e_flat, v)
-    pb = softmax(-0.5 * p1 * qb, axis=1)
-    pe = softmax(-0.5 * p1 * qe, axis=1)
-    bv = np.einsum("abij,j->abi", cache.b_flat, v, optimize=True)
-    ev = np.einsum("abij,j->abi", cache.e_flat, v, optimize=True)
-    term_b = np.einsum("ab,abi->i", pb, bv, optimize=True)
-    term_e = np.einsum("ab,abi->i", pe, ev, optimize=True)
+    term_b = _weighted_pair_apply(cache, "bob", v)
+    term_e = _weighted_pair_apply(cache, "eve", v)
     return (p1 / (2 * _LN2 * cache.n_signals)) * (term_b - term_e)
+
+
+def _off_diagonal(P: np.ndarray) -> np.ndarray:
+    """P with a zero diagonal.
+
+    Pairs (k, k) have A_kk = 0, so dropping their weight changes no sum over
+    pairs; it spares the Gram identities a cancellation of two O(1) terms
+    when the softmax weight sits on the diagonal (high SNR).
+    """
+    P = P.copy()
+    np.fill_diagonal(P, 0.0)
+    return P
+
+
+def _weighted_pair_apply(cache: QuadFormCache, side: str, v: np.ndarray) -> np.ndarray:
+    """sum_{kk'} P_kk' A_kk' v with P the row softmax of -p1 v^H A v / 2.
+
+    With X = diag(v) S and Y = R X, (A_kk' v)_i = conj(d_i) (Y_ik - Y_ik')
+    for d = s_k - s_k', and summing over the pairs gives
+    (conj(S) * Y) (r + c) - rowsum(conj(S) * (Y P^T)) - rowsum(Y * (conj(S) P^T))
+    with r, c the row and column sums of P.
+    """
+    S = cache.signals
+    X = v[:, None] * S
+    Y = cache.gram(side) @ X
+    q = _pairwise(X.conj().T @ Y)
+    P = _off_diagonal(softmax(-0.5 * cache.p1 * q, axis=1))
+    Sc = S.conj()
+    return (
+        (Sc * Y) @ (P.sum(axis=1) + P.sum(axis=0))
+        - np.sum(Sc * (Y @ P.T), axis=1)
+        - np.sum(Y * (Sc @ P.T), axis=1)
+    )
 
 
 def _ascend(value_fn, grad_fn, v0: np.ndarray, n_tx: int, params: GDParams) -> OptTrace:
@@ -337,24 +371,44 @@ def max_sr_gd(
 # ---------------------------------------------------------------------------
 
 
-def _pair_traces(flat_mats: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Real traces tr(W A_{kk'}) for every pair, shape (K, K)."""
-    return np.real(np.einsum("abij,ji->ab", flat_mats, W, optimize=True))
+def _pair_traces(cache: QuadFormCache, side: str, W: np.ndarray) -> np.ndarray:
+    """Real traces tr(W A_{kk'}) for every pair, shape (K, K).
+
+    tr(W A_{kk'}) = d^H (R * W^T) d with d = s_k - s_k', so all K^2 traces
+    are pairwise distances under one K x K Gram matrix S^H (R * W^T) S.
+    """
+    S = cache.signals
+    return _pairwise(S.conj().T @ (cache.gram(side) * W.T) @ S)
 
 
-def _lifted_logterms(flat_mats: np.ndarray, W: np.ndarray, p1: float) -> np.ndarray:
-    """Per-k log2 sum_k' exp(-p1 tr(W A)/2), shape (K,)."""
-    t = _pair_traces(flat_mats, W)
-    return log2sumexp2(-0.5 * p1 * t / _LN2, axis=1)
+def _lifted_logterms(cache: QuadFormCache, side: str, W: np.ndarray) -> np.ndarray:
+    """Per-k log2 sum_k' exp(-p1 tr(W A_{kk'})/2) on the ``side`` link, shape (K,)."""
+    t = _pair_traces(cache, side, W)
+    return log2sumexp2(-0.5 * cache.p1 * t / _LN2, axis=1)
 
 
-def _mean_lifted_grad(flat_mats: np.ndarray, W: np.ndarray, p1: float) -> np.ndarray:
+def _lifted_weights(cache: QuadFormCache, side: str, W: np.ndarray) -> np.ndarray:
+    """Row softmax of -p1 tr(W A_{kk'})/2: the gradient weights of each log term."""
+    return softmax(-0.5 * cache.p1 * _pair_traces(cache, side, W), axis=1)
+
+
+def _weighted_pair_sum(cache: QuadFormCache, side: str, P: np.ndarray) -> np.ndarray:
+    """sum_{kk'} P_kk' A_kk' (N_t x N_t) for a K x K weight matrix P.
+
+    sum P_kk' d d^H over the differences d = s_k - s_k' is S L S^H with
+    L = diag(r + c) - P - P^T (r, c the row and column sums of P), so the
+    sum is R * conj(S L S^H).
+    """
+    P = _off_diagonal(P)
+    S = cache.signals
+    L = np.diag(P.sum(axis=1) + P.sum(axis=0)) - P - P.T
+    return cache.gram(side) * (S @ L @ S.conj().T).conj()
+
+
+def _mean_lifted_grad(cache: QuadFormCache, side: str, W: np.ndarray) -> np.ndarray:
     """(1/K) sum_k of the lifted log-sum-exp gradient at W (Hermitian)."""
-    K = flat_mats.shape[0]
-    t = _pair_traces(flat_mats, W)
-    weights = softmax(-0.5 * p1 * t, axis=1)
-    g = np.einsum("ab,abji->ij", weights, flat_mats.conj(), optimize=True)
-    g = -p1 / (2 * _LN2 * K) * g
+    g = _weighted_pair_sum(cache, side, _lifted_weights(cache, side, W))
+    g = -cache.p1 / (2 * _LN2 * cache.n_signals) * g
     return (g + g.conj().T) / 2
 
 
@@ -365,19 +419,12 @@ def f1(cache: QuadFormCache, W: np.ndarray, n: int, m: int) -> float:
     p1 is kept inside the exponent so that W = v v^H reproduces the
     vector-form objective exactly.
     """
-    k = cache.pair_index(n, m)
-    return float(_lifted_logterms_single(cache.e_flat[k], W, cache.p1))
+    return float(_lifted_logterms(cache, "eve", W)[cache.pair_index(n, m)])
 
 
 def f2(cache: QuadFormCache, W: np.ndarray, n: int, m: int) -> float:
     """Legitimate-side lifted log-sum-exp term for transmitted pair (n, m)."""
-    k = cache.pair_index(n, m)
-    return float(_lifted_logterms_single(cache.b_flat[k], W, cache.p1))
-
-
-def _lifted_logterms_single(mats_k: np.ndarray, W: np.ndarray, p1: float) -> float:
-    t = np.real(np.einsum("aij,ji->a", mats_k, W, optimize=True))
-    return float(log2sumexp2(-0.5 * p1 * t / _LN2, axis=0))
+    return float(_lifted_logterms(cache, "bob", W)[cache.pair_index(n, m)])
 
 
 def grad_f1(cache: QuadFormCache, W0: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -388,11 +435,9 @@ def grad_f1(cache: QuadFormCache, W0: np.ndarray, n: int, m: int) -> np.ndarray:
     underestimator.
     """
     k = cache.pair_index(n, m)
-    mats = cache.e_flat[k]
-    t = np.real(np.einsum("aij,ji->a", mats, W0, optimize=True))
-    weights = softmax(-0.5 * cache.p1 * t)
-    g = np.einsum("a,aji->ij", weights, mats.conj(), optimize=True)
-    return -cache.p1 / (2 * _LN2) * g
+    P = np.zeros((cache.n_signals, cache.n_signals))
+    P[k] = _lifted_weights(cache, "eve", W0)[k]
+    return -cache.p1 / (2 * _LN2) * _weighted_pair_sum(cache, "eve", P)
 
 
 def project_spectrahedron(W: np.ndarray, budget: float) -> np.ndarray:
@@ -434,8 +479,8 @@ def relaxed_asr(cache: QuadFormCache, W: np.ndarray) -> float:
     Averages the per-pair difference of the eavesdropper and legitimate
     lifted log-sum-exp terms; at W = v v^H this equals ``asr(cache, v)``.
     """
-    inner_e = _lifted_logterms(cache.e_flat, W, cache.p1)
-    inner_b = _lifted_logterms(cache.b_flat, W, cache.p1)
+    inner_e = _lifted_logterms(cache, "eve", W)
+    inner_b = _lifted_logterms(cache, "bob", W)
     return float(np.mean(inner_e - inner_b))
 
 
@@ -461,20 +506,19 @@ def solve_sca_subproblem(
     """
     budget = float(cache.n_tx)
     _check_feasible(W_prev, budget)
-    p1 = cache.p1
 
-    lin_grad = _mean_lifted_grad(cache.e_flat, W_prev, p1)  # constant linear part
-    lin_const = float(np.mean(_lifted_logterms(cache.e_flat, W_prev, p1)))
+    lin_grad = _mean_lifted_grad(cache, "eve", W_prev)  # constant linear part
+    lin_const = float(np.mean(_lifted_logterms(cache, "eve", W_prev)))
 
     def surrogate(W: np.ndarray) -> float:
         linear = lin_const + float(np.real(np.sum(lin_grad * (W - W_prev).T)))
-        return linear - float(np.mean(_lifted_logterms(cache.b_flat, W, p1)))
+        return linear - float(np.mean(_lifted_logterms(cache, "bob", W)))
 
     W = project_spectrahedron(W_prev, budget)
     current = surrogate(W)
     step = 1.0
     for _ in range(params.inner_max):
-        grad = lin_grad - _mean_lifted_grad(cache.b_flat, W, p1)
+        grad = lin_grad - _mean_lifted_grad(cache, "bob", W)
         improved = False
         while step >= _STEP_FLOOR:
             candidate = project_spectrahedron(W + step * grad, budget)
@@ -638,8 +682,8 @@ def power_sweep_rounding(
     )
     best_vec, best_val = None, -np.inf
     for direction in [lead_dir] + directions:
-        qb = _pair_quadforms(cache.b_flat, direction)
-        qe = _pair_quadforms(cache.e_flat, direction)
+        qb = _pair_quadforms(cache, "bob", direction)
+        qe = _pair_quadforms(cache, "eve", direction)
         xb = -0.5 * cache.p1 * np.multiply.outer(t_grid, qb) / _LN2
         xe = -0.5 * cache.p1 * np.multiply.outer(t_grid, qe) / _LN2
         values = np.mean(log2sumexp2(xe, axis=2) - log2sumexp2(xb, axis=2), axis=1)

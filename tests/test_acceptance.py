@@ -344,13 +344,13 @@ def test_criterion_7_structural_exactness():
         d = smat[:, k] - smat[:, kp]
         if srng.integers(0, 2) == 0:
             Q = powers.sigma2_b * np.eye(2)
-            C, flat = H, cache.b_flat
+            C, side = H, "bob"
         else:
             Q = S.noise_covariance(G, proj, powers.p2, powers.sigma2_e)
-            C, flat = G, cache.e_flat
+            C, side = G, "eve"
         Wh = scipy.linalg.fractional_matrix_power(Q, -0.5)
         direct = float(np.sum(np.abs(np.sqrt(powers.p1) * Wh @ C @ np.diag(v) @ d) ** 2))
-        quad = powers.p1 * float(np.real(v.conj() @ flat[k, kp] @ v))
+        quad = powers.p1 * float(np.real(v.conj() @ cache.pair_matrix(side, k, kp) @ v))
         if direct > 1e-12:
             quad_worst = max(quad_worst, abs(quad - direct) / direct)
     quad_ok = quad_worst <= 1e-9

@@ -141,8 +141,7 @@ def test_asr_clamp(instance):
     *_, cache = instance
     # eavesdropper outgains the target when the roles are reversed
     swapped = S.QuadFormCache(
-        b_mats=cache.e_mats,
-        e_mats=cache.b_mats,
+        signals=cache.signals,
         gram_b=cache.gram_e,
         gram_e=cache.gram_b,
         p1=cache.p1,

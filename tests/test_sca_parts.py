@@ -31,6 +31,11 @@ def random_psd(rng, n, scale=1.0):
     return scale * (A @ A.conj().T) / n
 
 
+def eve_pair_matrices(cache, k):
+    """Eavesdropper pair matrices A_{kk'} for every k', shape (K, N_t, N_t)."""
+    return np.stack([cache.pair_matrix("eve", k, kp) for kp in range(cache.n_signals)])
+
+
 def test_f1_f2_at_zero(instance):
     *_, cache = instance
     cap = math.log2(cache.n_signals)
@@ -58,7 +63,7 @@ def test_f1_lift_consistency(instance, rng):
         for m in (1, 2):
             k = cache.pair_index(n, m)
             q = np.real(
-                np.einsum("aij,i,j->a", cache.e_flat[k], v.conj(), v)
+                np.einsum("aij,i,j->a", eve_pair_matrices(cache, k), v.conj(), v)
             )
             direct = math.log2(np.sum(np.exp(-0.5 * cache.p1 * q)))
             assert f1(cache, W, n, m) == pytest.approx(direct, abs=1e-12)
@@ -70,7 +75,7 @@ def test_grad_f1_at_zero_uniform_weights(instance):
     for n, m in [(1, 1), (2, 2)]:
         k = cache.pair_index(n, m)
         expected = -cache.p1 / (2 * LN2 * K) * np.sum(
-            cache.e_flat[k].conj().swapaxes(-1, -2), axis=0
+            eve_pair_matrices(cache, k).conj().swapaxes(-1, -2), axis=0
         )
         np.testing.assert_allclose(grad_f1(cache, np.zeros((4, 4)), n, m), expected, atol=1e-12)
 
@@ -157,8 +162,8 @@ def test_subproblem_start_point_identity(instance):
     *_, cache = instance
     v0 = S.default_precoder(4)
     W0 = np.outer(v0, v0.conj())
-    lin = float(np.mean(_lifted_logterms(cache.e_flat, W0, cache.p1)))
-    f2_part = float(np.mean(_lifted_logterms(cache.b_flat, W0, cache.p1)))
+    lin = float(np.mean(_lifted_logterms(cache, "eve", W0)))
+    f2_part = float(np.mean(_lifted_logterms(cache, "bob", W0)))
     assert lin - f2_part == pytest.approx(relaxed_asr(cache, W0), abs=1e-12)
     assert lin - f2_part == pytest.approx(asr(cache, v0), abs=1e-12)
 
@@ -170,12 +175,12 @@ def test_subproblem_never_worse_than_start(rng):
         W0 = np.outer(v0, v0.conj())
         W1 = solve_sca_subproblem(cache, W0, SCAParams())
         # surrogate objective at the solution vs at the start
-        lin_grad = _mean_lifted_grad(cache.e_flat, W0, cache.p1)
-        lin_const = float(np.mean(_lifted_logterms(cache.e_flat, W0, cache.p1)))
+        lin_grad = _mean_lifted_grad(cache, "eve", W0)
+        lin_const = float(np.mean(_lifted_logterms(cache, "eve", W0)))
 
         def surrogate(W):
             linear = lin_const + float(np.real(np.sum(lin_grad * (W - W0).T)))
-            return linear - float(np.mean(_lifted_logterms(cache.b_flat, W, cache.p1)))
+            return linear - float(np.mean(_lifted_logterms(cache, "bob", W)))
 
         assert surrogate(W1) >= surrogate(W0) - 1e-12
         eigvals = np.linalg.eigvalsh((W1 + W1.conj().T) / 2)
@@ -207,12 +212,12 @@ def test_subproblem_matches_grid_oracle():
     W0 = np.outer(v0, v0.conj())
     W1 = solve_sca_subproblem(cache, W0, SCAParams())
 
-    lin_grad = _mean_lifted_grad(cache.e_flat, W0, cache.p1)
-    lin_const = float(np.mean(_lifted_logterms(cache.e_flat, W0, cache.p1)))
+    lin_grad = _mean_lifted_grad(cache, "eve", W0)
+    lin_const = float(np.mean(_lifted_logterms(cache, "eve", W0)))
 
     def surrogate(W):
         linear = lin_const + float(np.real(np.sum(lin_grad * (W - W0).T)))
-        return linear - float(np.mean(_lifted_logterms(cache.b_flat, W, cache.p1)))
+        return linear - float(np.mean(_lifted_logterms(cache, "bob", W)))
 
     best = -np.inf
     grid = np.linspace(0.0, 2.0, 81)

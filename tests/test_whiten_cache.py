@@ -37,19 +37,20 @@ def test_whiten_rejects_indefinite():
 
 def test_cache_diagonal_pairs_vanish(instance):
     *_, cache = instance
-    for n in range(cache.n_tx):
-        for m in range(cache.M):
-            assert np.all(cache.b_mats[n, m, n, m] == 0)
-            assert np.all(cache.e_mats[n, m, n, m] == 0)
+    for n in range(1, cache.n_tx + 1):
+        for m in range(1, cache.M + 1):
+            k = cache.pair_index(n, m)
+            assert np.all(cache.pair_matrix("bob", k, k) == 0)
+            assert np.all(cache.pair_matrix("eve", k, k) == 0)
 
 
 def test_cache_pair_matrices_psd_and_sparse(instance):
     *_, cache = instance
     K = cache.n_signals
-    for flat in (cache.b_flat, cache.e_flat):
+    for side in ("bob", "eve"):
         for k in range(K):
             for kp in range(K):
-                mat = flat[k, kp]
+                mat = cache.pair_matrix(side, k, kp)
                 assert np.linalg.norm(mat - mat.conj().T) <= 1e-12 * max(
                     1.0, np.linalg.norm(mat)
                 )
@@ -73,15 +74,20 @@ def test_quadratic_form_identity(rng):
         for k in range(cache.n_signals):
             for kp in range(cache.n_signals):
                 d = smat[:, k] - smat[:, kp]
-                for flat, W, C in ((cache.b_flat, wb, channels.H), (cache.e_flat, we, channels.G)):
+                for side, W, C in (("bob", wb, channels.H), ("eve", we, channels.G)):
                     direct = np.sum(np.abs(np.sqrt(powers.p1) * W @ C @ V @ d) ** 2)
-                    quad = powers.p1 * np.real(v.conj() @ flat[k, kp] @ v)
+                    quad = powers.p1 * np.real(v.conj() @ cache.pair_matrix(side, k, kp) @ v)
                     assert quad == pytest.approx(direct, rel=1e-10, abs=1e-12)
 
 
 def test_symmetric_instance_gives_identical_links(symmetric_instance):
     *_, cache = symmetric_instance
-    np.testing.assert_array_equal(cache.b_mats, cache.e_mats)
+    K = cache.n_signals
+    for k in range(K):
+        for kp in range(K):
+            np.testing.assert_array_equal(
+                cache.pair_matrix("bob", k, kp), cache.pair_matrix("eve", k, kp)
+            )
 
 
 def test_asr_scale_consistency(instance, rng):
