@@ -20,6 +20,8 @@ Protocol conventions (the underlying studies leave these open):
 from __future__ import annotations
 
 import csv
+import math
+import numbers
 import zlib
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
@@ -36,6 +38,7 @@ from .optim import (
     GDParams,
     OptTrace,
     SCAParams,
+    _is_integer,
     default_precoder,
     max_asr_gd,
     max_asr_sca,
@@ -117,6 +120,15 @@ class ExperimentConfig:
     solver_accuracy: float = 1e-8
 
     def __post_init__(self):
+        for name in ("n_tx", "n_b", "n_e", "M", "n_channels", "n_samp", "seed", "d1", "d2", "d3"):
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not all(_is_integer(n) for n in self.n_tx_grid):
+            raise ConfigError(f"n_tx_grid entries must be integers, got {self.n_tx_grid!r}")
+        for snr_db in self.snr_db_grid:
+            if not (isinstance(snr_db, numbers.Real) and math.isfinite(snr_db)):
+                raise ConfigError(f"snr_db_grid entries must be finite numbers, got {snr_db!r}")
         if self.n_tx <= self.n_b:
             raise ConfigError("n_tx must exceed n_b for AN null-space projection")
         if min(self.n_b, self.n_e, self.M, self.n_channels, self.n_samp) < 1:
@@ -133,6 +145,12 @@ class ExperimentConfig:
             raise ConfigError(f"init must be 'ones' or 'random', got {self.init!r}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be a 64-bit unsigned integer")
+        try:
+            make_codebook(self.M, self.scheme, self.n_tx)
+            for n_tx in self.n_tx_grid:
+                self.complexity_inputs(n_tx)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from exc
 
     def powers_at(self, snr_db: float) -> PowerConfig:
         """Power configuration at one SNR point (P_t = 1, noise swept)."""

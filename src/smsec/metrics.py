@@ -35,8 +35,23 @@ so all K^2 quadratic forms cost O(K N_t^2 + K^2 N_t) and
 lifted traces tr(W A_{kk'}) and the softmax-weighted sums of the A_{kk'}
 used by the optimizers follow the same way (see ``smsec.optim``).
 
-All log-of-sum-of-exponentials are evaluated with max-shifting so that high
+The closed-form log-sum-exps are evaluated with max-shifting so that high
 signal-to-noise ratios do not underflow.
+
+The Monte-Carlo estimate rests on the same pairwise structure.  With
+F = Q^{-1/2} C the whitened channel, T = sqrt(p1) F diag(v) S (N x K) the
+noise-free received points t_k, and u = 2 Re(noise conj(T)) (S x K) for S
+noise samples w_s, the exponent of pair (a, b) under sample s is
+
+    E_sab = ||w_s||^2 - ||t_a - t_b + w_s||^2 = u_sb - u_sa - pairwise(T^H T)_ab,
+
+so all S K^2 exponents come from one broadcast of u and one K x K Gram,
+at cost O(S K^2 + S K N) and O(S K^2) memory.  No max shift is needed:
+E_sab <= ||w_s||^2, which for CN(0, I_N) samples stays far below the
+~709 at which exp overflows, and the diagonal E_saa is exactly 0 in
+floating point, so every row sum of exp(E) is at least 1 and its log2 is
+finite and nonnegative.  SR-GD (``smsec.optim``) reuses the same
+exponentials, normalised, as the weights of its gradient.
 """
 
 from __future__ import annotations
@@ -48,7 +63,14 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericalError
-from .model import ANProjector, ChannelPair, PowerConfig, SMCodebook, noise_covariance
+from .model import (
+    ANProjector,
+    ChannelPair,
+    PowerConfig,
+    SMCodebook,
+    _noiseless_points,
+    noise_covariance,
+)
 
 __all__ = [
     "QuadFormCache",
@@ -170,12 +192,6 @@ def whiten(Q: np.ndarray) -> np.ndarray:
     return (W + W.conj().T) / 2
 
 
-def _difference_vectors(codebook: SMCodebook) -> np.ndarray:
-    """All pairwise SM symbol differences, shape (K, K, N_t)."""
-    S = codebook.signal_matrix().T  # (K, N_t)
-    return S[:, None, :] - S[None, :, :]
-
-
 def _whitened_gram(C: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Hermitian C^H Q^{-1} C via a positive-definite solve."""
     gram = C.conj().T @ scipy.linalg.solve(Q, C, assume_a="pos")
@@ -289,32 +305,35 @@ def _complex_noise(rng: np.random.Generator, n_samp: int, dim: int) -> np.ndarra
     return (re + 1j * im) / np.sqrt(2.0)
 
 
-def _mc_per_sample(
-    channel: np.ndarray,
-    whitening: np.ndarray,
-    codebook: SMCodebook,
-    v: np.ndarray,
-    p1: float,
-    noise: np.ndarray,
-) -> np.ndarray:
-    """Per-noise-sample mutual-information estimates, shape (n_samp,).
+def _mc_exponentials(T: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """exp(E_sab) for every symbol pair and noise sample, indexed [a, b, s].
 
-    For each transmitted (n, m) the integrand is
-    log2 sum_{n',m'} exp(||w||^2 - ||alpha + w||^2) with
-    alpha = sqrt(p1) * Wh * C * diag(v) * (s_{n,m} - s_{n',m'}); expanding
-    the squares leaves exponent -||alpha||^2 - 2 Re(alpha^H w), so only the
-    (K, K, N) difference tensor and one contraction with the samples are
-    needed.  Noise samples are shared across the outer (n, m) sum.
+    ``T`` holds the noise-free received points t_k as columns (N x K) and
+    ``noise`` the whitened samples w_s as rows (S x N).  The exponent is
+    E_sab = ||w_s||^2 - ||t_a - t_b + w_s||^2 = u_sb - u_sa - ||t_a - t_b||^2
+    with u = 2 Re(noise conj(T)).  It is bounded above by ||w_s||^2, so for
+    CN(0, I) samples exp cannot overflow and needs no max shift; the
+    diagonal E_saa is exactly 0, so each row sum over b is at least 1.  The
+    samples are the innermost axis, so every elementwise pass and every sum
+    over a or b runs along contiguous rows of length S however small K is.
     """
-    K = codebook.n_signals
-    F = whitening @ channel  # (N, N_t)
-    T = np.sqrt(p1) * (F @ (v[:, None] * codebook.signal_matrix()))  # (N, K)
-    alpha = T.T[:, None, :] - T.T[None, :, :]  # (K, K, N)
-    norm2 = np.sum(np.abs(alpha) ** 2, axis=2)  # (K, K)
-    cross = 2 * np.real(np.einsum("abj,sj->sab", alpha.conj(), noise, optimize=True))
-    expo = -(norm2[None, :, :] + cross) / _LN2  # (S, K, K), base-2 units
-    inner = log2sumexp2(expo, axis=2)  # (S, K)
-    return np.log2(K) - np.mean(inner, axis=1)
+    u = 2 * np.real(T.conj().T @ noise.T)  # (K, S)
+    expo = u[None, :, :] - u[:, None, :]
+    expo -= _pairwise(T.conj().T @ T)[:, :, None]
+    return np.exp(expo, out=expo)
+
+
+def _mc_per_sample(T: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Per-noise-sample mutual-information estimates, shape (S,).
+
+    For each transmitted symbol a the integrand is
+    log2 sum_b exp(||w||^2 - ||t_a - t_b + w||^2) over the received points
+    ``T`` (N x K); the noise samples (rows of ``noise``) are shared across
+    the average over a.  See :func:`_mc_exponentials` for the exponents
+    and why their row sums need no max shift.
+    """
+    inner = np.log2(_mc_exponentials(T, noise).sum(axis=1))  # (K, S)
+    return np.log2(T.shape[1]) - np.mean(inner, axis=0)
 
 
 def mi_monte_carlo(
@@ -339,7 +358,8 @@ def mi_monte_carlo(
         raise ValueError("n_samp must be >= 1")
     v = np.asarray(v, dtype=complex)
     noise = _complex_noise(rng, n_samp, channel.shape[0])
-    per_sample = _mc_per_sample(channel, whitening, codebook, v, p1, noise)
+    T = _noiseless_points(whitening @ channel, v, codebook.signal_matrix(), p1)
+    per_sample = _mc_per_sample(T, noise)
     value = float(np.mean(per_sample))
     if n_samp > 1:
         std_error = float(np.std(per_sample, ddof=1) / np.sqrt(n_samp))

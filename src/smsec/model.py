@@ -268,6 +268,16 @@ def transmit(
     return np.sqrt(powers.p1) * (v * s) + np.sqrt(powers.p2) * (proj.t_an @ an_sample)
 
 
+def _noiseless_points(C: np.ndarray, v: np.ndarray, signals: np.ndarray, p1: float) -> np.ndarray:
+    """Noise-free received points sqrt(p1) * C * diag(v) * s_k as columns, shape (N, K).
+
+    ``signals`` is the SM signal matrix (N_t x K); the columns are the ML
+    candidate set and the points whose pairwise distances drive the
+    Monte-Carlo mutual information.
+    """
+    return np.sqrt(p1) * (C @ (v[:, None] * signals))
+
+
 def ml_detect(
     y: np.ndarray,
     C: np.ndarray,
@@ -283,7 +293,7 @@ def ml_detect(
     """
     if len(y) != C.shape[0]:
         raise ValueError("received vector length must match channel rows")
-    candidates = np.sqrt(p1) * (C @ (v[:, None] * codebook.signal_matrix()))
+    candidates = _noiseless_points(C, v, codebook.signal_matrix(), p1)
     metrics = np.sum(np.abs(y[:, None] - candidates) ** 2, axis=0)
     k = int(np.argmin(metrics))  # argmin returns the first minimum on ties
     return k // codebook.M + 1, k % codebook.M + 1

@@ -29,6 +29,7 @@ eavesdropper is momentarily ahead).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,7 @@ from scipy.special import softmax
 from .errors import NumericalError
 from .metrics import (
     _complex_noise,
-    _difference_vectors,
-    _mc_per_sample,
+    _mc_exponentials,
     _pair_quadforms,
     _pairwise,
     QuadFormCache,
@@ -46,7 +46,14 @@ from .metrics import (
     log2sumexp2,
     whiten,
 )
-from .model import ANProjector, ChannelPair, PowerConfig, SMCodebook, noise_covariance
+from .model import (
+    ANProjector,
+    ChannelPair,
+    PowerConfig,
+    SMCodebook,
+    _noiseless_points,
+    noise_covariance,
+)
 
 __all__ = [
     "GDParams",
@@ -74,6 +81,11 @@ _LN2 = math.log(2.0)
 _STEP_FLOOR = 1e-14
 
 
+def _is_integer(x) -> bool:
+    """Whether x is an integer value (a bool is not, a float is not even if whole)."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class GDParams:
     """Gradient-ascent controls: initial step, halving floor, iteration cap.
@@ -90,13 +102,15 @@ class GDParams:
     min_improve: float = 5e-3
 
     def __post_init__(self):
-        if self.step_init <= 0 or self.step_min <= 0:
+        # Written so that nan fails every check: a nan or infinite step
+        # never falls below step_min, and the ascent loop would not end.
+        if not (self.step_init > 0 and self.step_min > 0):
             raise ValueError("step sizes must be positive")
-        if self.step_min >= self.step_init:
-            raise ValueError("step_min must be below step_init")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
-        if self.min_improve < 0:
+        if not self.step_min < self.step_init < math.inf:
+            raise ValueError("step_min must be below step_init, which must be finite")
+        if not _is_integer(self.max_iters) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be a positive integer, got {self.max_iters!r}")
+        if not self.min_improve >= 0:
             raise ValueError("min_improve must be nonnegative")
 
 
@@ -119,8 +133,11 @@ class SCAParams:
     n_randomizations: int = 100
 
     def __post_init__(self):
-        if min(self.tol, self.inner_tol, self.rank_tol) <= 0:
+        if not all(t > 0 for t in (self.tol, self.inner_tol, self.rank_tol)):
             raise ValueError("tolerances must be positive")
+        counts = (self.max_outer, self.inner_max, self.n_randomizations)
+        if not all(_is_integer(count) for count in counts):
+            raise ValueError(f"iteration counts must be integers, got {counts!r}")
         if self.max_outer < 1 or self.inner_max < 1 or self.n_randomizations < 0:
             raise ValueError("iteration counts must be positive")
 
@@ -194,19 +211,14 @@ def _off_diagonal(P: np.ndarray) -> np.ndarray:
     return P
 
 
-def _weighted_pair_apply(cache: QuadFormCache, side: str, v: np.ndarray) -> np.ndarray:
-    """sum_{kk'} P_kk' A_kk' v with P the row softmax of -p1 v^H A v / 2.
+def _pair_apply(S: np.ndarray, Y: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """sum_{kk'} P_kk' conj(s_k - s_k') * (y_k - y_k') for a K x K weight P, shape (N_t,).
 
-    With X = diag(v) S and Y = R X, (A_kk' v)_i = conj(d_i) (Y_ik - Y_ik')
-    for d = s_k - s_k', and summing over the pairs gives
+    ``S`` and ``Y`` are N_t x K with columns s_k and y_k.  Expanding the
+    pairs gives
     (conj(S) * Y) (r + c) - rowsum(conj(S) * (Y P^T)) - rowsum(Y * (conj(S) P^T))
     with r, c the row and column sums of P.
     """
-    S = cache.signals
-    X = v[:, None] * S
-    Y = cache.gram(side) @ X
-    q = _pairwise(X.conj().T @ Y)
-    P = _off_diagonal(softmax(-0.5 * cache.p1 * q, axis=1))
     Sc = S.conj()
     return (
         (Sc * Y) @ (P.sum(axis=1) + P.sum(axis=0))
@@ -215,20 +227,36 @@ def _weighted_pair_apply(cache: QuadFormCache, side: str, v: np.ndarray) -> np.n
     )
 
 
-def _ascend(value_fn, grad_fn, v0: np.ndarray, n_tx: int, params: GDParams) -> OptTrace:
+def _weighted_pair_apply(cache: QuadFormCache, side: str, v: np.ndarray) -> np.ndarray:
+    """sum_{kk'} P_kk' A_kk' v with P the row softmax of -p1 v^H A v / 2.
+
+    With X = diag(v) S and Y = R X, (A_kk' v)_i = conj(d_i) (Y_ik - Y_ik')
+    for d = s_k - s_k', so the sum is :func:`_pair_apply` of (S, Y, P).
+    """
+    S = cache.signals
+    X = v[:, None] * S
+    Y = cache.gram(side) @ X
+    q = _pairwise(X.conj().T @ Y)
+    P = _off_diagonal(softmax(-0.5 * cache.p1 * q, axis=1))
+    return _pair_apply(S, Y, P)
+
+
+def _ascend(value_and_grad, v0: np.ndarray, n_tx: int, params: GDParams) -> OptTrace:
     """Shared ascent loop: step, renormalize, accept if not worse, else halve.
 
-    Steps that decrease the objective are rejected and halve the step;
-    accepted steps that improve by less than ``min_improve`` also halve it
-    (plateau rule), so the run terminates once progress stalls.  The step
-    size only ever shrinks; the run stops when it falls below ``step_min``
-    (converged) or after ``max_iters`` accepted updates.  ``iterations``
-    counts accepted updates.
+    ``value_and_grad(v)`` returns the objective and its conjugate gradient
+    at v; it is called once per candidate, so an accepted step already
+    holds the gradient of the next iterate.  Steps that decrease the
+    objective are rejected and halve the step; accepted steps that improve
+    by less than ``min_improve`` also halve it (plateau rule), so the run
+    terminates once progress stalls.  The step size only ever shrinks; the
+    run stops when it falls below ``step_min`` (converged) or after
+    ``max_iters`` accepted updates.  ``iterations`` counts accepted updates.
     """
     v = _check_start(v0, n_tx)
     mu = params.step_init
-    history = [value_fn(v)]
-    grad = grad_fn(v)
+    value, grad = value_and_grad(v)
+    history = [value]
     iterations = 0
     converged = False
     while True:
@@ -238,12 +266,11 @@ def _ascend(value_fn, grad_fn, v0: np.ndarray, n_tx: int, params: GDParams) -> O
         if iterations >= params.max_iters:
             break
         candidate = _renormalize(v + mu * grad, n_tx)
-        value = value_fn(candidate)
+        value, candidate_grad = value_and_grad(candidate)
         if value >= history[-1]:
-            v = candidate
+            v, grad = candidate, candidate_grad
             history.append(value)
             iterations += 1
-            grad = grad_fn(v)
             if value - history[-2] < params.min_improve:
                 mu /= 2
         else:
@@ -263,8 +290,7 @@ def max_asr_gd(cache: QuadFormCache, v0: np.ndarray, params: GDParams) -> OptTra
     final vector satisfies tr(v v^H) <= N_t.
     """
     return _ascend(
-        lambda v: asr(cache, v, clamp=False),
-        lambda v: asr_gradient(cache, v),
+        lambda v: (asr(cache, v, clamp=False), asr_gradient(cache, v)),
         v0,
         cache.n_tx,
         params,
@@ -277,7 +303,11 @@ class _SampledSecrecyObjective:
     Freezes ``n_samp`` whitened-noise realizations per link (identically
     seeded on both links) so that repeated evaluations are a pure function
     of the precoder, making the ascent loop's accept/reject decisions and
-    finite-difference checks well defined.
+    finite-difference checks well defined.  Each link keeps its whitened
+    channel F, its samples w_s (rows of ``noise_*``) and z_s = F^H w_s
+    (rows of ``z_*``); :meth:`value_and_gradient` evaluates both links with
+    the Monte-Carlo pair kernel of ``smsec.metrics`` and reuses its
+    exponentials for the gradient.
     """
 
     def __init__(
@@ -291,58 +321,52 @@ class _SampledSecrecyObjective:
     ):
         if n_samp < 1:
             raise ValueError("n_samp must be >= 1")
-        self.codebook = codebook
+        self.signals = codebook.signal_matrix()
         self.p1 = powers.p1
         wh_b = whiten(powers.sigma2_b * np.eye(channels.H.shape[0]))
         q_e = noise_covariance(channels.G, proj, powers.p2, powers.sigma2_e)
         wh_e = whiten(q_e)
-        self.channel_b = channels.H
-        self.channel_e = channels.G
         self.F_b = wh_b @ channels.H
         self.F_e = wh_e @ channels.G
-        self.wh_b = wh_b
-        self.wh_e = wh_e
         seed = int(rng.integers(0, 2**63))
         self.noise_b = _complex_noise(np.random.default_rng(seed), n_samp, channels.H.shape[0])
         self.noise_e = _complex_noise(np.random.default_rng(seed), n_samp, channels.G.shape[0])
-        self.diff = _difference_vectors(codebook)  # (K, K, N_t)
-        self.z_b = self.noise_b @ self.F_b.conj()  # rows F^H w_s
+        self.z_b = self.noise_b @ self.F_b.conj()
         self.z_e = self.noise_e @ self.F_e.conj()
 
-    def value(self, v: np.ndarray) -> float:
+    def value_and_gradient(self, v: np.ndarray) -> tuple[float, np.ndarray]:
+        """Sampled secrecy rate I(bob) - I(eve) at v and its conjugate gradient."""
         v = np.asarray(v, dtype=complex)
-        mi_b = np.mean(
-            _mc_per_sample(self.channel_b, self.wh_b, self.codebook, v, self.p1, self.noise_b)
-        )
-        mi_e = np.mean(
-            _mc_per_sample(self.channel_e, self.wh_e, self.codebook, v, self.p1, self.noise_e)
-        )
-        return float(mi_b - mi_e)
+        mi_b, g_b = self._link(self.F_b, self.noise_b, self.z_b, v)
+        mi_e, g_e = self._link(self.F_e, self.noise_e, self.z_e, v)
+        return float(mi_b - mi_e), g_b - g_e
 
-    def _side_gradient(self, F, z, noise, v) -> np.ndarray:
-        # d/d(conj v) of the fixed-sample link MI.  With A_kk' =
-        # sqrt(p1) F diag(d_kk') and per-sample exponents
-        # g = -||A v||^2 - 2 Re((A v)^H w), the chain rule gives
-        # dg/d(conj v) = -sqrt(p1) conj(d) * (F^H alpha + F^H w) elementwise.
-        K = self.codebook.n_signals
+    def _link(self, F, noise, z, v) -> tuple[float, np.ndarray]:
+        # Sampled MI of one link and its d/d(conj v).  With d = s_a - s_b the
+        # exponent E_sab = -||alpha||^2 - 2 Re(alpha^H w_s) of
+        # alpha = sqrt(p1) F diag(d) v has
+        # dE/d(conj v) = -sqrt(p1) conj(d) * (F^H alpha + z_s) elementwise.
+        # Weighting by the softmax w of E and summing over the pairs, the
+        # F^H alpha part is _pair_apply with Y = F^H T and P = sum_s w, and
+        # the z_s part is z_s * (conj(S) (r_s - c_s)) with r, c the row and
+        # column sums of w.  The diagonal (d = 0) is dropped before summing:
+        # it adds nothing, but at high SNR its weight is ~1 and would swamp
+        # the off-diagonal terms.
+        S = self.signals
+        K = S.shape[1]
         n_samp = noise.shape[0]
-        T = np.sqrt(self.p1) * (F @ (v[:, None] * self.codebook.signal_matrix()))
-        alpha = T.T[:, None, :] - T.T[None, :, :]  # (K, K, N)
-        norm2 = np.sum(np.abs(alpha) ** 2, axis=2)
-        cross = 2 * np.real(np.einsum("abj,sj->sab", alpha.conj(), noise, optimize=True))
-        weights = softmax(-(norm2[None, :, :] + cross), axis=2)  # (S, K, K)
-        u = np.einsum("rj,abr->abj", F.conj(), alpha, optimize=True)  # F^H alpha
-        dbar = self.diff.conj()
-        term_u = np.einsum("ab,abj->j", weights.sum(axis=0), dbar * u, optimize=True)
-        term_z = np.einsum("sab,abj,sj->j", weights, dbar, z, optimize=True)
+        T = _noiseless_points(F, v, S, self.p1)
+        weights = _mc_exponentials(T, noise)  # exp(E), indexed [a, b, s]
+        sums = weights.sum(axis=1)  # (K, S)
+        mi = np.mean(np.log2(K) - np.mean(np.log2(sums), axis=0))
+        weights /= sums[:, None, :]
+        diag = np.arange(K)
+        weights[diag, diag] = 0.0
+        r_minus_c = weights.sum(axis=1) - weights.sum(axis=0)  # (K, S)
+        term_u = _pair_apply(S, F.conj().T @ T, weights.sum(axis=2))
+        term_z = np.sum(z * (r_minus_c.T @ S.conj().T), axis=0)
         scale = np.sqrt(self.p1) / (K * n_samp * _LN2)
-        return scale * (term_u + term_z)
-
-    def gradient(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=complex)
-        g_b = self._side_gradient(self.F_b, self.z_b, self.noise_b, v)
-        g_e = self._side_gradient(self.F_e, self.z_e, self.noise_e, v)
-        return g_b - g_e
+        return mi, scale * (term_u + term_z)
 
 
 def max_sr_gd(
@@ -363,7 +387,7 @@ def max_sr_gd(
     sample-average analytic gradient.
     """
     objective = _SampledSecrecyObjective(channels, proj, powers, codebook, n_samp, rng)
-    return _ascend(objective.value, objective.gradient, v0, codebook.n_tx, params)
+    return _ascend(objective.value_and_gradient, v0, codebook.n_tx, params)
 
 
 # ---------------------------------------------------------------------------

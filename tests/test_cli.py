@@ -85,6 +85,33 @@ def test_config_error_exit_code(tmp_path):
     assert main(["sr-vs-snr", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "M = 3",
+        "n_channels = 2.5",
+        "n_tx = 4.0",
+        "n_samp = 1e2",
+        "snr_db_grid = abc",
+        "snr_db_grid = nan",
+        "gd.max_iters = 2.5",
+        "sca.inner_max = 2.5",
+        "n_tx_grid = 4, 8.5",
+        "n_tx_grid = 0",
+        "solver_accuracy = abc",
+        "gd.step_init = nan",
+        "sca.tol = nan",
+    ],
+)
+def test_malformed_value_exit_code(line, tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(TINY_CONFIG + line + "\n")  # the last value of a key wins
+    assert main(["sr-vs-snr", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
 def test_missing_config_exit_code(tmp_path):
     assert main(["cdf", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == 2
 

@@ -113,9 +113,9 @@ def test_sr_gd_gradient_matches_fixed_sample_objective(rng):
     )
     for _ in range(5):
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        g = objective.gradient(v)
+        _, g = objective.value_and_gradient(v)
         d = 1e-5 * unit_direction(rng, 4)
-        fd = objective.value(v + d) - objective.value(v - d)
+        fd = objective.value_and_gradient(v + d)[0] - objective.value_and_gradient(v - d)[0]
         predicted = 2 * 2 * np.real(np.vdot(g, d))
         assert fd == pytest.approx(predicted, rel=1e-3, abs=1e-14)
 
