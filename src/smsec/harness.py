@@ -81,6 +81,11 @@ class Method(str, Enum):
 
 _OPTIMIZING_METHODS = (Method.MAX_ASR_GD, Method.MAX_SR_GD, Method.MAX_ASR_SCA)
 
+# Largest constellation order a config may ask for.  make_codebook allocates
+# M symbols, so an order such as 2**40 would exhaust memory (MemoryError)
+# instead of failing as a config error.
+_MAX_ORDER = 2**16
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -133,6 +138,8 @@ class ExperimentConfig:
             raise ConfigError("n_tx must exceed n_b for AN null-space projection")
         if min(self.n_b, self.n_e, self.M, self.n_channels, self.n_samp) < 1:
             raise ConfigError("dimensions and trial counts must be positive")
+        if self.M > _MAX_ORDER:
+            raise ConfigError(f"M must be at most {_MAX_ORDER}, got {self.M}")
         if not self.snr_db_grid:
             raise ConfigError("snr_db_grid must be nonempty")
         if not 0 < self.power_split <= 1:

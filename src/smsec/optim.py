@@ -12,8 +12,10 @@ Three methods over the trace-ball feasible set tr(v v^H) <= N_t:
   and maximize the resulting difference of convex log-sum-exp terms by
   successive convex approximation: linearize the convex (eavesdropper)
   term at the current iterate and solve each concave subproblem by
-  projected gradient ascent over the spectrahedron
-  {W Hermitian, W >= 0, tr(W) <= N_t}.  A rank-one precoder is recovered
+  accelerated projected gradient ascent (FISTA with backtracking and
+  restart) over the spectrahedron {W Hermitian, W >= 0, tr(W) <= N_t},
+  evaluating each point's surrogate value and gradient weights from one
+  exponential pass (:func:`_lifted_eval`).  A rank-one precoder is recovered
   from the solution by :func:`extract_precoder` (leading eigenvector, or
   Gaussian randomization when the solution is not numerically rank one).
 
@@ -80,6 +82,9 @@ _LN2 = math.log(2.0)
 # Smallest backtracking step before a line search gives up.
 _STEP_FLOOR = 1e-14
 
+# Factor the SCA inner solver's step grows by after an improving step.
+_STEP_GROWTH = 1.25
+
 
 def _is_integer(x) -> bool:
     """Whether x is an integer value (a bool is not, a float is not even if whole)."""
@@ -119,8 +124,8 @@ class SCAParams:
     """Successive-convex-approximation controls.
 
     ``tol`` stops the outer loop once consecutive relaxed objectives agree;
-    ``inner_tol``/``inner_max`` bound the projected-gradient subproblem
-    solver; ``rank_tol`` is the eigenvalue-ratio threshold below which the
+    ``inner_tol``/``inner_max`` bound the accelerated projected-gradient
+    subproblem solver; ``rank_tol`` is the eigenvalue-ratio threshold below which the
     lifted solution counts as rank one; ``n_randomizations`` is the number
     of Gaussian rounding candidates otherwise.
     """
@@ -144,12 +149,21 @@ class SCAParams:
 
 @dataclass(frozen=True)
 class OptTrace:
-    """Optimizer run record: accepted-objective history and the final iterate."""
+    """Optimizer run record: accepted-objective history and the final iterate.
+
+    ``stop_reason`` says why the run ended: ``"step_floor"`` (the ascent
+    step fell below ``step_min``), ``"tol"`` (consecutive SCA objectives
+    agreed within ``tol``) or ``"max_iters"`` (the iteration cap).
+    ``inner_steps`` is the inner work: for SCA the spectrahedron projections
+    summed over all subproblems, 0 for the gradient methods.
+    """
 
     objective_history: list[float]
     iterations: int
     converged: bool
     final_vector: np.ndarray
+    stop_reason: str | None = None
+    inner_steps: int = 0
 
 
 def default_precoder(n_tx: int) -> np.ndarray:
@@ -250,20 +264,21 @@ def _ascend(value_and_grad, v0: np.ndarray, n_tx: int, params: GDParams) -> OptT
     objective are rejected and halve the step; accepted steps that improve
     by less than ``min_improve`` also halve it (plateau rule), so the run
     terminates once progress stalls.  The step size only ever shrinks; the
-    run stops when it falls below ``step_min`` (converged) or after
-    ``max_iters`` accepted updates.  ``iterations`` counts accepted updates.
+    run stops when it falls below ``step_min`` (converged, stop reason
+    ``"step_floor"``) or after ``max_iters`` accepted updates (``"max_iters"``).
+    ``iterations`` counts accepted updates.
     """
     v = _check_start(v0, n_tx)
     mu = params.step_init
     value, grad = value_and_grad(v)
     history = [value]
     iterations = 0
-    converged = False
     while True:
         if mu < params.step_min:
-            converged = True
+            stop_reason = "step_floor"
             break
         if iterations >= params.max_iters:
+            stop_reason = "max_iters"
             break
         candidate = _renormalize(v + mu * grad, n_tx)
         value, candidate_grad = value_and_grad(candidate)
@@ -278,8 +293,9 @@ def _ascend(value_and_grad, v0: np.ndarray, n_tx: int, params: GDParams) -> OptT
     return OptTrace(
         objective_history=history,
         iterations=iterations,
-        converged=converged,
+        converged=stop_reason == "step_floor",
         final_vector=v,
+        stop_reason=stop_reason,
     )
 
 
@@ -416,6 +432,24 @@ def _lifted_weights(cache: QuadFormCache, side: str, W: np.ndarray) -> np.ndarra
     return softmax(-0.5 * cache.p1 * _pair_traces(cache, side, W), axis=1)
 
 
+def _lifted_eval(cache: QuadFormCache, side: str, W: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean lifted log term on the ``side`` link at W and its softmax weights.
+
+    One pass over the pair traces: with x = -p1 tr(W A_{kk'}) / (2 ln 2) and
+    m the row maxima, e = 2^(x - m) gives both log2 sum_k' 2^x = log2(rowsum e)
+    + m (as :func:`_lifted_logterms`) and the weights e / rowsum e (as
+    :func:`_lifted_weights`), so the value and the gradient of a point cost
+    one ``_pair_traces`` and one exponential.
+    """
+    x = -0.5 * cache.p1 * _pair_traces(cache, side, W) / _LN2
+    m = np.max(x, axis=1, keepdims=True)
+    e = np.exp2(x - m)
+    sums = e.sum(axis=1)
+    value = float(np.mean(np.log2(sums) + m[:, 0]))
+    e /= sums[:, None]
+    return value, e
+
+
 def _weighted_pair_sum(cache: QuadFormCache, side: str, P: np.ndarray) -> np.ndarray:
     """sum_{kk'} P_kk' A_kk' (N_t x N_t) for a K x K weight matrix P.
 
@@ -429,11 +463,16 @@ def _weighted_pair_sum(cache: QuadFormCache, side: str, P: np.ndarray) -> np.nda
     return cache.gram(side) * (S @ L @ S.conj().T).conj()
 
 
-def _mean_lifted_grad(cache: QuadFormCache, side: str, W: np.ndarray) -> np.ndarray:
-    """(1/K) sum_k of the lifted log-sum-exp gradient at W (Hermitian)."""
-    g = _weighted_pair_sum(cache, side, _lifted_weights(cache, side, W))
+def _lifted_grad(cache: QuadFormCache, side: str, P: np.ndarray) -> np.ndarray:
+    """(1/K) sum_k of the lifted log-sum-exp gradient for softmax weights P (Hermitian)."""
+    g = _weighted_pair_sum(cache, side, P)
     g = -cache.p1 / (2 * _LN2 * cache.n_signals) * g
     return (g + g.conj().T) / 2
+
+
+def _mean_lifted_grad(cache: QuadFormCache, side: str, W: np.ndarray) -> np.ndarray:
+    """(1/K) sum_k of the lifted log-sum-exp gradient at W (Hermitian)."""
+    return _lifted_grad(cache, side, _lifted_weights(cache, side, W))
 
 
 def f1(cache: QuadFormCache, W: np.ndarray, n: int, m: int) -> float:
@@ -518,47 +557,99 @@ def _check_feasible(W: np.ndarray, budget: float, slack: float = 1e-6) -> None:
 
 
 def solve_sca_subproblem(
-    cache: QuadFormCache, W_prev: np.ndarray, params: SCAParams
+    cache: QuadFormCache,
+    W_prev: np.ndarray,
+    params: SCAParams,
+    *,
+    projections: list[int] | None = None,
 ) -> np.ndarray:
     """One concave surrogate maximization of the lifted objective.
 
     The convex eavesdropper term is Taylor-linearized at ``W_prev``; the
     resulting concave surrogate (linear minus convex) is maximized over the
-    spectrahedron by projected gradient ascent with backtracking, starting
-    at ``W_prev``.  The returned point is feasible with surrogate value no
-    worse than at the start.
+    spectrahedron by accelerated projected gradient ascent (FISTA, Beck &
+    Teboulle 2009) starting at ``W_prev``:
+
+    * each step extrapolates from the last two feasible iterates with the
+      FISTA momentum and projects a gradient step taken at the extrapolated
+      point Y;
+    * the step size backtracks (halves) until the quadratic model at Y
+      underestimates the surrogate at the projected point, and grows by
+      ``_STEP_GROWTH`` after each improving step;
+    * a projected point that improves on the best feasible iterate becomes
+      the new best; one that does not restarts the momentum from the best
+      iterate (function-value restart);
+    * the solver stops when a plain projected gradient step from the best
+      iterate (one without momentum: the first steps, and those after a
+      restart) gains less than ``inner_tol``, when backtracking reaches
+      ``_STEP_FLOOR``, or after ``inner_max`` steps.
+
+    Each point is evaluated once: :func:`_lifted_eval` gives the surrogate
+    value and the softmax weights its gradient is built from.  The returned
+    point is the best feasible iterate, so it is feasible with surrogate
+    value no worse than at the start.  If ``projections`` is a list, the
+    number of spectrahedron projections this call made is appended to it.
     """
     budget = float(cache.n_tx)
     _check_feasible(W_prev, budget)
 
-    lin_grad = _mean_lifted_grad(cache, "eve", W_prev)  # constant linear part
-    lin_const = float(np.mean(_lifted_logterms(cache, "eve", W_prev)))
+    # Constant linear part: the eavesdropper term's value and gradient at W_prev.
+    eve_value, eve_weights = _lifted_eval(cache, "eve", W_prev)
+    lin_grad = _lifted_grad(cache, "eve", eve_weights)
+    lin_const = eve_value - _trace_pairing(lin_grad, W_prev)
 
-    def surrogate(W: np.ndarray) -> float:
-        linear = lin_const + float(np.real(np.sum(lin_grad * (W - W_prev).T)))
-        return linear - float(np.mean(_lifted_logterms(cache, "bob", W)))
+    def evaluate(W: np.ndarray) -> tuple[float, np.ndarray]:
+        bob_value, bob_weights = _lifted_eval(cache, "bob", W)
+        return lin_const + _trace_pairing(lin_grad, W) - bob_value, bob_weights
 
-    W = project_spectrahedron(W_prev, budget)
-    current = surrogate(W)
-    step = 1.0
+    X = project_spectrahedron(W_prev, budget)
+    n_proj = 1
+    best, x_weights = evaluate(X)
+    Y, y_value, y_weights = X, best, x_weights
+    t, step, plain = 1.0, 1.0, True
     for _ in range(params.inner_max):
-        grad = lin_grad - _mean_lifted_grad(cache, "bob", W)
-        improved = False
-        while step >= _STEP_FLOOR:
-            candidate = project_spectrahedron(W + step * grad, budget)
-            value = surrogate(candidate)
-            if value > current:
-                improved = True
+        grad = lin_grad - _lifted_grad(cache, "bob", y_weights)
+        while True:
+            Z = project_spectrahedron(Y + step * grad, budget)
+            n_proj += 1
+            z_value, z_weights = evaluate(Z)
+            D = Z - Y
+            model = y_value + _trace_pairing(grad, D) - _trace_pairing(D, D) / (2 * step)
+            if z_value >= model:
                 break
             step /= 2
-        if not improved:
+            if step < _STEP_FLOOR:
+                break
+        if step < _STEP_FLOOR:
             break
-        gain = value - current
-        W, current = candidate, value
-        step *= 2
-        if gain < params.inner_tol:
+        gain = z_value - best
+        if plain and gain < params.inner_tol:
+            if gain > 0:
+                X = Z
             break
-    return W
+        if gain <= 0:
+            t, plain = 1.0, True
+            Y, y_value, y_weights = X, best, x_weights
+            continue
+        X_prev, X, best, x_weights = X, Z, z_value, z_weights
+        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2
+        beta = (t - 1.0) / t_next
+        t = t_next
+        plain = beta == 0.0
+        if plain:
+            Y, y_value, y_weights = X, best, x_weights
+        else:
+            Y = X + beta * (X - X_prev)
+            y_value, y_weights = evaluate(Y)
+        step *= _STEP_GROWTH
+    if projections is not None:
+        projections.append(n_proj)
+    return X
+
+
+def _trace_pairing(A: np.ndarray, B: np.ndarray) -> float:
+    """Re tr(A B) for a Hermitian A."""
+    return float(np.vdot(A, B).real)
 
 
 def max_asr_sca(
@@ -574,27 +665,32 @@ def max_asr_sca(
 
     Returns the final lifted matrix and a trace whose ``final_vector`` is
     the power-scaled leading eigenvector (use :func:`extract_precoder` for
-    randomized rounding).
+    randomized rounding), whose ``stop_reason`` is ``"tol"`` or
+    ``"max_iters"`` and whose ``inner_steps`` counts the spectrahedron
+    projections of all subproblems.
     """
     v0 = _check_start(v0, cache.n_tx)
     W = np.outer(v0, v0.conj())
     history = [relaxed_asr(cache, W)]
-    converged = False
+    stop_reason = "max_iters"
     iterations = 0
+    projections: list[int] = []
     for _ in range(params.max_outer):
-        W = solve_sca_subproblem(cache, W, params)
+        W = solve_sca_subproblem(cache, W, params, projections=projections)
         history.append(relaxed_asr(cache, W))
         iterations += 1
         if abs(history[-1] - history[-2]) <= params.tol:
-            converged = True
+            stop_reason = "tol"
             break
     lam, U = np.linalg.eigh((W + W.conj().T) / 2)
     lead = np.sqrt(cache.n_tx) * U[:, -1]
     trace = OptTrace(
         objective_history=history,
         iterations=iterations,
-        converged=converged,
+        converged=stop_reason == "tol",
         final_vector=lead,
+        stop_reason=stop_reason,
+        inner_steps=sum(projections),
     )
     return W, trace
 

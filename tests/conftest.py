@@ -44,3 +44,34 @@ def instance():
 def symmetric_instance():
     """G = H, equal noise, no AN: both links bit-identical."""
     return make_instance(seed=11, p1=1.0, p2=0.0, symmetric=True)
+
+
+def capped_simplex_oracle(lam, budget, tol=1e-12):
+    """argmin ||x - lam||^2 over {x >= 0, sum(x) <= budget}, by bisection, KKT-checked.
+
+    The minimizer is x = max(lam - tau, 0) with the smallest tau >= 0 that
+    meets the budget; tau is found by bisection on the piecewise-linear,
+    decreasing sum(max(lam - tau, 0)).  The KKT conditions are then checked
+    directly: feasibility, tau >= 0, x_i = lam_i - tau where x_i > 0,
+    lam_i <= tau where x_i = 0, and complementary slackness on the budget.
+    """
+    lam = np.asarray(lam, dtype=float)
+    tau = 0.0
+    if np.sum(np.clip(lam, 0.0, None)) > budget:
+        lo, hi = 0.0, float(np.max(lam))
+        for _ in range(200):
+            tau = (lo + hi) / 2
+            if np.sum(np.clip(lam - tau, 0.0, None)) > budget:
+                lo = tau
+            else:
+                hi = tau
+        tau = hi
+    x = np.clip(lam - tau, 0.0, None)
+    scale = max(1.0, budget, float(np.max(np.abs(lam))))
+    positive = x > 0
+    assert np.all(x >= 0) and tau >= 0
+    assert np.sum(x) <= budget + tol * scale
+    assert np.all(np.abs(x[positive] - (lam[positive] - tau)) <= tol * scale)
+    assert np.all(lam[~positive] <= tau + tol * scale)
+    assert tau * abs(budget - np.sum(x)) <= tol * scale * scale
+    return x

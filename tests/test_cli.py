@@ -89,6 +89,7 @@ def test_config_error_exit_code(tmp_path):
     "line",
     [
         "M = 3",
+        "M = 1099511627776",
         "n_channels = 2.5",
         "n_tx = 4.0",
         "n_samp = 1e2",

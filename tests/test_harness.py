@@ -1,5 +1,10 @@
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import smsec as S
 from smsec import (
@@ -88,6 +93,36 @@ def test_parse_config_round_trip():
 def test_parse_config_rejects_bad_input(line):
     with pytest.raises(ConfigError):
         parse_config_text(f"n_tx = 4\n{line}\n")
+
+
+BENCHMARK_CFG = (Path(__file__).parents[1] / "configs" / "benchmark.cfg").read_text()
+CONFIG_KEYS = sorted(
+    {f.name for f in fields(ExperimentConfig)}
+    | {f"gd.{f.name}" for f in fields(S.GDParams)}
+    | {f"sca.{f.name}" for f in fields(S.SCAParams)}
+)
+_values = st.one_of(
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.lists(st.one_of(st.integers(), st.floats()), max_size=4).map(
+        lambda xs: ", ".join(map(str, xs))
+    ),
+    st.sampled_from(["", "nan", "-inf", "1e309", "true", "qam", "none, max-asr-sca", "0x10"]),
+    st.text(max_size=20),
+)
+_lines = st.tuples(st.one_of(st.sampled_from(CONFIG_KEYS), st.text(max_size=12)), _values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_lines.map(lambda kv: f"{kv[0]} = {kv[1]}"), max_size=3))
+def test_parse_config_fuzz_raises_only_config_error(extra_lines):
+    # the shipped config plus up to three random "key = value" lines either
+    # parses or raises ConfigError; any other exception escapes and fails
+    text = BENCHMARK_CFG + "\n".join(extra_lines) + "\n"
+    try:
+        parse_config_text(text)
+    except ConfigError:
+        pass
 
 
 def test_sr_vs_snr_symmetric_channels_zero_rate():

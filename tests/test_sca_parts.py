@@ -16,7 +16,12 @@ from smsec import (
 )
 from smsec.optim import _lifted_logterms, _mean_lifted_grad
 
-from conftest import make_instance
+from conftest import capped_simplex_oracle, make_instance
+
+try:
+    import cvxpy
+except ImportError:  # the numpy oracle still checks the projection
+    cvxpy = None
 
 LN2 = math.log(2.0)
 
@@ -126,21 +131,36 @@ def test_projection_clips_negative_eigenvalues():
 
 
 def test_projection_matches_qp_oracle(rng):
-    cvxpy = pytest.importorskip("cvxpy")
+    # the numpy bisection oracle always; cvxpy as well when it is installed
     for _ in range(20):
         W = random_hermitian(rng, 3, scale=2.0)
         ours = project_spectrahedron(W, 3.0)
         lam = np.linalg.eigvalsh(W)
-        x = cvxpy.Variable(3)
-        prob = cvxpy.Problem(
-            cvxpy.Minimize(cvxpy.sum_squares(x - lam)),
-            [x >= 0, cvxpy.sum(x) <= 3.0],
-        )
-        prob.solve(
-            solver=cvxpy.CLARABEL, tol_gap_abs=1e-12, tol_gap_rel=1e-12, tol_feas=1e-12
-        )
+        oracle_values = [capped_simplex_oracle(lam, 3.0)]
+        if cvxpy is not None:
+            x = cvxpy.Variable(3)
+            prob = cvxpy.Problem(
+                cvxpy.Minimize(cvxpy.sum_squares(x - lam)),
+                [x >= 0, cvxpy.sum(x) <= 3.0],
+            )
+            prob.solve(
+                solver=cvxpy.CLARABEL, tol_gap_abs=1e-12, tol_gap_rel=1e-12, tol_feas=1e-12
+            )
+            oracle_values.append(x.value)
         ours_lam = np.linalg.eigvalsh(ours)
-        np.testing.assert_allclose(ours_lam, np.sort(x.value), atol=1e-6)
+        for value in oracle_values:
+            np.testing.assert_allclose(ours_lam, np.sort(value), atol=1e-6)
+
+
+def test_capped_simplex_oracle_kkt():
+    # the oracle itself: inactive budget keeps the clipped spectrum, an
+    # active one shifts by the threshold that meets it
+    np.testing.assert_allclose(
+        capped_simplex_oracle(np.array([-1.0, 0.5, 1.0]), 3.0), [0.0, 0.5, 1.0], atol=1e-12
+    )
+    np.testing.assert_allclose(
+        capped_simplex_oracle(np.array([0.0, 2.0, 4.0]), 3.0), [0.0, 0.5, 2.5], atol=1e-12
+    )
 
 
 def test_projection_idempotent(rng):

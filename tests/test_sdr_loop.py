@@ -9,8 +9,10 @@ from smsec import (
     extract_precoder,
     max_asr_gd,
     max_asr_sca,
+    max_sr_gd,
     power_sweep_rounding,
     relaxed_asr,
+    solve_sca_subproblem,
 )
 
 from conftest import make_instance
@@ -125,3 +127,30 @@ def test_head_to_head_against_gradient_ascent():
             sweep_wins += 1
     assert wins >= 70, f"extracted precoder beat gradient ascent in only {wins}/100"
     assert sweep_wins >= wins
+
+
+def test_traces_report_stop_reason_and_inner_steps(rng):
+    channels, proj, powers, codebook, cache = make_instance(seed=2)
+    v0 = S.default_precoder(4)
+    gd = max_asr_gd(cache, v0, GDParams())
+    sr = max_sr_gd(channels, proj, powers, codebook, v0, GDParams(), 64, rng)
+    for trace in (gd, sr):
+        assert trace.stop_reason == "step_floor" and trace.converged
+        assert trace.inner_steps == 0
+    capped = max_asr_gd(cache, v0, GDParams(max_iters=1))
+    assert capped.stop_reason == "max_iters" and not capped.converged
+
+    params = SCAParams()
+    W, sca = max_asr_sca(cache, v0, params)
+    assert sca.stop_reason == "tol" and sca.converged
+    # inner_steps is the projection count summed over the same subproblems
+    counts = []
+    W_path = np.outer(v0, v0.conj())
+    for _ in range(sca.iterations):
+        W_path = solve_sca_subproblem(cache, W_path, params, projections=counts)
+    np.testing.assert_array_equal(W_path, W)
+    assert len(counts) == sca.iterations
+    assert sca.inner_steps == sum(counts) > sca.iterations
+    _, capped = max_asr_sca(cache, v0, SCAParams(tol=1e-12, max_outer=1))
+    assert capped.stop_reason == "max_iters" and not capped.converged
+    assert capped.iterations == 1 and capped.inner_steps > 1
