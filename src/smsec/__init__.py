@@ -1,6 +1,13 @@
-"""Secure spatial modulation: AN-aided precoding, secrecy metrics, optimizers."""
+"""Secure spatial modulation: AN-aided precoding, secrecy metrics, optimizers.
 
-from .complexity import ComplexityInputs, FlopMethod, SDP_IPM_CONSTANT, flops
+The top level holds what the studies, the command line and a library user
+need: the config and study runners, the channel model, the secrecy metrics,
+the three optimizers with their rounding step, and the FLOP model.
+Internals (codebook and detector types, the lifted SCA terms, the
+subproblem solver) are imported from their modules.
+"""
+
+from .complexity import ComplexityInputs, FlopMethod, flops
 from .errors import ConfigError, NumericalError
 from .harness import (
     ExperimentConfig,
@@ -15,30 +22,21 @@ from .harness import (
     write_rows,
 )
 from .metrics import (
-    MIEstimate,
-    QuadFormCache,
     asr,
     build_cache,
     link_rate_approx,
-    log2sumexp2,
     mi_lower_bound,
     mi_monte_carlo,
     secrecy_rate_mc,
     whiten,
 )
 from .model import (
-    ANProjector,
     ChannelPair,
     PowerConfig,
-    Scheme,
-    SMCodebook,
     an_projector,
     make_codebook,
-    ml_detect,
     noise_covariance,
     sample_channel,
-    sm_signal,
-    transmit,
 )
 from .optim import (
     GDParams,
@@ -46,76 +44,56 @@ from .optim import (
     SCAParams,
     asr_gradient,
     default_precoder,
-    extract_precoder,
     f1,
-    f2,
     grad_f1,
     max_asr_gd,
     max_asr_sca,
     max_sr_gd,
     power_sweep_rounding,
     project_spectrahedron,
-    random_precoder,
-    relaxed_asr,
-    solve_sca_subproblem,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ANProjector",
     "ChannelPair",
     "ComplexityInputs",
     "ConfigError",
     "ExperimentConfig",
     "FlopMethod",
     "GDParams",
-    "MIEstimate",
     "Method",
     "NumericalError",
     "OptTrace",
     "PowerConfig",
-    "QuadFormCache",
     "SCAParams",
-    "SDP_IPM_CONSTANT",
-    "SMCodebook",
-    "Scheme",
     "an_projector",
     "asr",
     "asr_gradient",
     "build_cache",
     "default_precoder",
-    "extract_precoder",
     "f1",
-    "f2",
     "flops",
     "grad_f1",
     "link_rate_approx",
     "load_config",
-    "log2sumexp2",
     "make_codebook",
     "max_asr_gd",
     "max_asr_sca",
     "max_sr_gd",
     "mi_lower_bound",
     "mi_monte_carlo",
-    "ml_detect",
     "noise_covariance",
     "parse_config_text",
     "power_sweep_rounding",
     "project_spectrahedron",
-    "random_precoder",
-    "relaxed_asr",
     "run_cdf",
     "run_complexity_curve",
     "run_iteration_pmf",
     "run_sr_vs_snr",
     "sample_channel",
     "secrecy_rate_mc",
-    "sm_signal",
-    "solve_sca_subproblem",
     "substream",
-    "transmit",
     "whiten",
     "write_rows",
 ]

@@ -4,8 +4,10 @@ Subcommands mirror the four studies; each reads a key-value config file,
 writes one CSV into the output directory, and drops a matching matplotlib
 plot script next to it.
 
-Exit codes: 0 on success, 2 on configuration errors, 3 on numerical
-failures (rank-deficient channel, non-positive-definite covariance).
+Exit codes: 0 on success, 2 on configuration errors (including an
+unreadable config file or an output directory that cannot be written), 3 on
+numerical failures (rank-deficient channel, non-positive-definite
+covariance).
 """
 
 from __future__ import annotations
@@ -183,6 +185,9 @@ def main(argv: list[str] | None = None) -> int:
         _COMMANDS[args.command](config, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -287,7 +287,7 @@ def load_config(path: str | Path, seed: int | None = None) -> ExperimentConfig:
     """Read a config file; ``seed`` (if given) overrides the file's seed."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     config = parse_config_text(text)
     if seed is not None:
@@ -454,17 +454,7 @@ def run_complexity_curve(
     methods = (FlopMethod.MAX_ASR_GD, FlopMethod.MAX_ASR_SCA, FlopMethod.MAX_SR_GD)
     rows = []
     for n_tx in n_tx_grid:
-        at_n = ComplexityInputs(
-            n_tx=int(n_tx),
-            n_b=inputs.n_b,
-            n_e=inputs.n_e,
-            M=inputs.M,
-            d1=inputs.d1,
-            d2=inputs.d2,
-            d3=inputs.d3,
-            n_samp=inputs.n_samp,
-            solver_accuracy=inputs.solver_accuracy,
-        )
+        at_n = replace(inputs, n_tx=int(n_tx))
         for method in methods:
             rows.append(
                 {"n_tx": int(n_tx), "method": method.value, "flops": flops(method, at_n)}

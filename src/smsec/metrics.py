@@ -75,6 +75,7 @@ from .model import (
 __all__ = [
     "QuadFormCache",
     "MIEstimate",
+    "log2sumexp2",
     "whiten",
     "build_cache",
     "link_rate_approx",
@@ -298,6 +299,26 @@ def asr(cache: QuadFormCache, v: np.ndarray, clamp: bool = False) -> float:
     return max(value, 0.0) if clamp else value
 
 
+def _link_pair_setup(
+    channels: ChannelPair,
+    proj: ANProjector,
+    powers: PowerConfig,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, np.random.Generator, np.random.Generator]:
+    """Whitening matrices of both links and two identically seeded noise generators.
+
+    Draws one seed from ``rng`` for the two generators, so the links see
+    common random numbers.  Bob's interference covariance is exactly
+    sigma_b^2 * I (AN is nulled); it still goes through :func:`whiten` so
+    both links share a code path and a fully symmetric instance (G = H,
+    equal noise) cancels bit for bit.
+    """
+    wh_b = whiten(powers.sigma2_b * np.eye(channels.H.shape[0]))
+    wh_e = whiten(noise_covariance(channels.G, proj, powers.p2, powers.sigma2_e))
+    seed = int(rng.integers(0, 2**63))
+    return wh_b, wh_e, np.random.default_rng(seed), np.random.default_rng(seed)
+
+
 def _complex_noise(rng: np.random.Generator, n_samp: int, dim: int) -> np.ndarray:
     """n_samp i.i.d. CN(0, I_dim) rows."""
     re = rng.standard_normal((n_samp, dim))
@@ -383,18 +404,7 @@ def secrecy_rate_mc(
     generators seeded identically (common random numbers), which cancels
     shared sampling noise in the difference.
     """
-    # Bob's interference covariance is exactly sigma_b^2 * I (AN is nulled);
-    # still run it through whiten() so both links share a code path and a
-    # fully symmetric instance (G = H, equal noise) cancels bit for bit.
-    wh_b = whiten(powers.sigma2_b * np.eye(channels.H.shape[0]))
-    q_e = noise_covariance(channels.G, proj, powers.p2, powers.sigma2_e)
-    wh_e = whiten(q_e)
-
-    noise_seed = int(rng.integers(0, 2**63))
-    mi_b = mi_monte_carlo(
-        channels.H, wh_b, codebook, v, powers.p1, n_samp, np.random.default_rng(noise_seed)
-    )
-    mi_e = mi_monte_carlo(
-        channels.G, wh_e, codebook, v, powers.p1, n_samp, np.random.default_rng(noise_seed)
-    )
+    wh_b, wh_e, rng_b, rng_e = _link_pair_setup(channels, proj, powers, rng)
+    mi_b = mi_monte_carlo(channels.H, wh_b, codebook, v, powers.p1, n_samp, rng_b)
+    mi_e = mi_monte_carlo(channels.G, wh_e, codebook, v, powers.p1, n_samp, rng_e)
     return max(mi_b.value - mi_e.value, 0.0)

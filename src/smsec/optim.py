@@ -1,23 +1,25 @@
 """Precoder optimizers for the approximate and Monte-Carlo secrecy rates.
 
-Three methods over the trace-ball feasible set tr(v v^H) <= N_t:
+Three methods under the power constraint tr(v v^H) <= N_t:
 
 * :func:`max_asr_gd`: gradient ascent on the closed-form approximate
-  secrecy rate, with power renormalization after each step and step-size
-  halving on non-improving steps.
-* :func:`max_sr_gd`: the same ascent loop driven by the Monte-Carlo
-  secrecy rate under frozen noise samples (common random numbers), so the
-  objective and its sample-average gradient are deterministic within a run.
+  secrecy rate, with step-size halving on non-improving steps.  Every step
+  is renormalized onto the power sphere tr(v v^H) = N_t, so the search
+  never tries a lower power.
+* :func:`max_sr_gd`: the same ascent loop (on the same sphere) driven by
+  the Monte-Carlo secrecy rate under frozen noise samples (common random
+  numbers), so the objective and its sample-average gradient are
+  deterministic within a run.
 * :func:`max_asr_sca`: lift to W = v v^H, drop the rank-one constraint,
   and maximize the resulting difference of convex log-sum-exp terms by
   successive convex approximation: linearize the convex (eavesdropper)
   term at the current iterate and solve each concave subproblem by
   accelerated projected gradient ascent (FISTA with backtracking and
   restart) over the spectrahedron {W Hermitian, W >= 0, tr(W) <= N_t},
-  evaluating each point's surrogate value and gradient weights from one
-  exponential pass (:func:`_lifted_eval`).  A rank-one precoder is recovered
-  from the solution by :func:`extract_precoder` (leading eigenvector, or
-  Gaussian randomization when the solution is not numerically rank one).
+  the whole ball, evaluating each point's surrogate value and gradient
+  weights from one exponential pass (:func:`_lifted_eval`).
+  :func:`power_sweep_rounding` recovers a rank-one precoder from the
+  solution by Gaussian randomization with a transmit-power line search.
 
 The closed-form objectives, their gradients and the lifted terms never form
 a pair matrix A_{kk'}: each is a pairwise-distance or weighted-sum identity
@@ -35,18 +37,16 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import softmax
 
-from .errors import NumericalError
 from .metrics import (
     _complex_noise,
+    _link_pair_setup,
     _mc_exponentials,
     _pair_quadforms,
     _pairwise,
     QuadFormCache,
     asr,
     log2sumexp2,
-    whiten,
 )
 from .model import (
     ANProjector,
@@ -54,7 +54,6 @@ from .model import (
     PowerConfig,
     SMCodebook,
     _noiseless_points,
-    noise_covariance,
 )
 
 __all__ = [
@@ -73,7 +72,6 @@ __all__ = [
     "solve_sca_subproblem",
     "relaxed_asr",
     "max_asr_sca",
-    "extract_precoder",
     "power_sweep_rounding",
 ]
 
@@ -84,6 +82,9 @@ _STEP_FLOOR = 1e-14
 
 # Factor the SCA inner solver's step grows by after an improving step.
 _STEP_GROWTH = 1.25
+
+# Transmit powers N_t/n, 2 N_t/n, ..., N_t that rounding sweeps per direction.
+_POWER_GRID = 64
 
 
 def _is_integer(x) -> bool:
@@ -213,6 +214,21 @@ def asr_gradient(cache: QuadFormCache, v: np.ndarray) -> np.ndarray:
     return (p1 / (2 * _LN2 * cache.n_signals)) * (term_b - term_e)
 
 
+def _row_log2sumexp2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row log2 sum_k' 2^x_kk' (shape (K,)) and the row-softmax weights.
+
+    One max-shifted exponential pass: with m the row maxima and
+    e = 2^(x - m), the log terms are log2(rowsum e) + m and the weights
+    e / rowsum e, which are the derivatives of each log term with respect
+    to its row of x (up to the factor ln 2).
+    """
+    m = np.max(x, axis=1, keepdims=True)
+    e = np.exp2(x - m)
+    sums = e.sum(axis=1)
+    e /= sums[:, None]
+    return np.log2(sums) + m[:, 0], e
+
+
 def _off_diagonal(P: np.ndarray) -> np.ndarray:
     """P with a zero diagonal.
 
@@ -251,8 +267,8 @@ def _weighted_pair_apply(cache: QuadFormCache, side: str, v: np.ndarray) -> np.n
     X = v[:, None] * S
     Y = cache.gram(side) @ X
     q = _pairwise(X.conj().T @ Y)
-    P = _off_diagonal(softmax(-0.5 * cache.p1 * q, axis=1))
-    return _pair_apply(S, Y, P)
+    _, P = _row_log2sumexp2(-0.5 * cache.p1 * q / _LN2)
+    return _pair_apply(S, Y, _off_diagonal(P))
 
 
 def _ascend(value_and_grad, v0: np.ndarray, n_tx: int, params: GDParams) -> OptTrace:
@@ -339,14 +355,11 @@ class _SampledSecrecyObjective:
             raise ValueError("n_samp must be >= 1")
         self.signals = codebook.signal_matrix()
         self.p1 = powers.p1
-        wh_b = whiten(powers.sigma2_b * np.eye(channels.H.shape[0]))
-        q_e = noise_covariance(channels.G, proj, powers.p2, powers.sigma2_e)
-        wh_e = whiten(q_e)
+        wh_b, wh_e, rng_b, rng_e = _link_pair_setup(channels, proj, powers, rng)
         self.F_b = wh_b @ channels.H
         self.F_e = wh_e @ channels.G
-        seed = int(rng.integers(0, 2**63))
-        self.noise_b = _complex_noise(np.random.default_rng(seed), n_samp, channels.H.shape[0])
-        self.noise_e = _complex_noise(np.random.default_rng(seed), n_samp, channels.G.shape[0])
+        self.noise_b = _complex_noise(rng_b, n_samp, channels.H.shape[0])
+        self.noise_e = _complex_noise(rng_e, n_samp, channels.G.shape[0])
         self.z_b = self.noise_b @ self.F_b.conj()
         self.z_e = self.noise_e @ self.F_e.conj()
 
@@ -421,33 +434,18 @@ def _pair_traces(cache: QuadFormCache, side: str, W: np.ndarray) -> np.ndarray:
     return _pairwise(S.conj().T @ (cache.gram(side) * W.T) @ S)
 
 
-def _lifted_logterms(cache: QuadFormCache, side: str, W: np.ndarray) -> np.ndarray:
-    """Per-k log2 sum_k' exp(-p1 tr(W A_{kk'})/2) on the ``side`` link, shape (K,)."""
-    t = _pair_traces(cache, side, W)
-    return log2sumexp2(-0.5 * cache.p1 * t / _LN2, axis=1)
+def _lifted_eval(
+    cache: QuadFormCache, side: str, W: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-symbol lifted log terms on the ``side`` link at W and their weights.
 
-
-def _lifted_weights(cache: QuadFormCache, side: str, W: np.ndarray) -> np.ndarray:
-    """Row softmax of -p1 tr(W A_{kk'})/2: the gradient weights of each log term."""
-    return softmax(-0.5 * cache.p1 * _pair_traces(cache, side, W), axis=1)
-
-
-def _lifted_eval(cache: QuadFormCache, side: str, W: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean lifted log term on the ``side`` link at W and its softmax weights.
-
-    One pass over the pair traces: with x = -p1 tr(W A_{kk'}) / (2 ln 2) and
-    m the row maxima, e = 2^(x - m) gives both log2 sum_k' 2^x = log2(rowsum e)
-    + m (as :func:`_lifted_logterms`) and the weights e / rowsum e (as
-    :func:`_lifted_weights`), so the value and the gradient of a point cost
-    one ``_pair_traces`` and one exponential.
+    The log terms are log2 sum_k' exp(-p1 tr(W A_{kk'}) / 2), shape (K,); the
+    weights are their row softmax, from which :func:`_lifted_grad` builds the
+    gradient.  Both come from one pass of :func:`_row_log2sumexp2`, so the
+    value and the gradient of a point cost one ``_pair_traces`` and one
+    exponential.
     """
-    x = -0.5 * cache.p1 * _pair_traces(cache, side, W) / _LN2
-    m = np.max(x, axis=1, keepdims=True)
-    e = np.exp2(x - m)
-    sums = e.sum(axis=1)
-    value = float(np.mean(np.log2(sums) + m[:, 0]))
-    e /= sums[:, None]
-    return value, e
+    return _row_log2sumexp2(-0.5 * cache.p1 * _pair_traces(cache, side, W) / _LN2)
 
 
 def _weighted_pair_sum(cache: QuadFormCache, side: str, P: np.ndarray) -> np.ndarray:
@@ -470,11 +468,6 @@ def _lifted_grad(cache: QuadFormCache, side: str, P: np.ndarray) -> np.ndarray:
     return (g + g.conj().T) / 2
 
 
-def _mean_lifted_grad(cache: QuadFormCache, side: str, W: np.ndarray) -> np.ndarray:
-    """(1/K) sum_k of the lifted log-sum-exp gradient at W (Hermitian)."""
-    return _lifted_grad(cache, side, _lifted_weights(cache, side, W))
-
-
 def f1(cache: QuadFormCache, W: np.ndarray, n: int, m: int) -> float:
     """Eavesdropper-side lifted log-sum-exp term for transmitted pair (n, m).
 
@@ -482,12 +475,12 @@ def f1(cache: QuadFormCache, W: np.ndarray, n: int, m: int) -> float:
     p1 is kept inside the exponent so that W = v v^H reproduces the
     vector-form objective exactly.
     """
-    return float(_lifted_logterms(cache, "eve", W)[cache.pair_index(n, m)])
+    return float(_lifted_eval(cache, "eve", W)[0][cache.pair_index(n, m)])
 
 
 def f2(cache: QuadFormCache, W: np.ndarray, n: int, m: int) -> float:
     """Legitimate-side lifted log-sum-exp term for transmitted pair (n, m)."""
-    return float(_lifted_logterms(cache, "bob", W)[cache.pair_index(n, m)])
+    return float(_lifted_eval(cache, "bob", W)[0][cache.pair_index(n, m)])
 
 
 def grad_f1(cache: QuadFormCache, W0: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -499,7 +492,7 @@ def grad_f1(cache: QuadFormCache, W0: np.ndarray, n: int, m: int) -> np.ndarray:
     """
     k = cache.pair_index(n, m)
     P = np.zeros((cache.n_signals, cache.n_signals))
-    P[k] = _lifted_weights(cache, "eve", W0)[k]
+    P[k] = _lifted_eval(cache, "eve", W0)[1][k]
     return -cache.p1 / (2 * _LN2) * _weighted_pair_sum(cache, "eve", P)
 
 
@@ -542,8 +535,8 @@ def relaxed_asr(cache: QuadFormCache, W: np.ndarray) -> float:
     Averages the per-pair difference of the eavesdropper and legitimate
     lifted log-sum-exp terms; at W = v v^H this equals ``asr(cache, v)``.
     """
-    inner_e = _lifted_logterms(cache, "eve", W)
-    inner_b = _lifted_logterms(cache, "bob", W)
+    inner_e, _ = _lifted_eval(cache, "eve", W)
+    inner_b, _ = _lifted_eval(cache, "bob", W)
     return float(np.mean(inner_e - inner_b))
 
 
@@ -584,23 +577,25 @@ def solve_sca_subproblem(
       restart) gains less than ``inner_tol``, when backtracking reaches
       ``_STEP_FLOOR``, or after ``inner_max`` steps.
 
-    Each point is evaluated once: :func:`_lifted_eval` gives the surrogate
-    value and the softmax weights its gradient is built from.  The returned
-    point is the best feasible iterate, so it is feasible with surrogate
-    value no worse than at the start.  If ``projections`` is a list, the
-    number of spectrahedron projections this call made is appended to it.
+    Each point is evaluated once: :func:`_lifted_eval` gives the log terms,
+    whose mean enters the surrogate value, and the softmax weights its
+    gradient is built from.  The returned point is the best feasible
+    iterate, so it is feasible with surrogate value no worse than at the
+    start.  If ``projections`` is a list, the number of spectrahedron
+    projections this call made is appended to it.
     """
     budget = float(cache.n_tx)
     _check_feasible(W_prev, budget)
 
     # Constant linear part: the eavesdropper term's value and gradient at W_prev.
-    eve_value, eve_weights = _lifted_eval(cache, "eve", W_prev)
+    eve_terms, eve_weights = _lifted_eval(cache, "eve", W_prev)
     lin_grad = _lifted_grad(cache, "eve", eve_weights)
-    lin_const = eve_value - _trace_pairing(lin_grad, W_prev)
+    lin_const = float(np.mean(eve_terms)) - _trace_pairing(lin_grad, W_prev)
 
     def evaluate(W: np.ndarray) -> tuple[float, np.ndarray]:
-        bob_value, bob_weights = _lifted_eval(cache, "bob", W)
-        return lin_const + _trace_pairing(lin_grad, W) - bob_value, bob_weights
+        bob_terms, bob_weights = _lifted_eval(cache, "bob", W)
+        value = lin_const + _trace_pairing(lin_grad, W) - float(np.mean(bob_terms))
+        return value, bob_weights
 
     X = project_spectrahedron(W_prev, budget)
     n_proj = 1
@@ -664,8 +659,8 @@ def max_asr_sca(
     well as its start point.
 
     Returns the final lifted matrix and a trace whose ``final_vector`` is
-    the power-scaled leading eigenvector (use :func:`extract_precoder` for
-    randomized rounding), whose ``stop_reason`` is ``"tol"`` or
+    the power-scaled leading eigenvector (use :func:`power_sweep_rounding`
+    for randomized rounding), whose ``stop_reason`` is ``"tol"`` or
     ``"max_iters"`` and whose ``inner_steps`` counts the spectrahedron
     projections of all subproblems.
     """
@@ -734,71 +729,38 @@ def _is_rank_one(lam: np.ndarray, rank_tol: float) -> bool:
     return lam[-1] > 0 and (len(lam) == 1 or lam[-2] / lam[-1] <= rank_tol)
 
 
-def extract_precoder(
-    cache: QuadFormCache,
-    W_star: np.ndarray,
-    params: SCAParams,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Rank-one precoder from a lifted solution, at full transmit power.
-
-    If the spectrum is numerically rank one (second eigenvalue within
-    ``rank_tol`` of zero relative to the first) the scaled leading
-    eigenvector is returned.  Otherwise ``n_randomizations`` Gaussian
-    candidates shaped by W_star are drawn, each rescaled onto the power
-    sphere tr(v v^H) = N_t, and the best by approximate secrecy rate wins;
-    the scaled leading eigenvector always competes.
-
-    See :func:`power_sweep_rounding` for rounding that also searches over
-    transmit power, which matters when the lifted solution's trace sits
-    strictly inside the budget.  Raises :class:`NumericalError` when W_star
-    has no positive eigenvalue.
-    """
-    n_tx = cache.n_tx
-    lead_dir, directions, lam = _rounding_directions(W_star, params.n_randomizations, rng)
-    if lam[-1] <= 0:
-        raise NumericalError("lifted solution has no positive eigenvalue")
-    lead = np.sqrt(n_tx) * lead_dir
-    if _is_rank_one(lam, params.rank_tol):
-        return lead
-    candidates = [lead] + [np.sqrt(n_tx) * d for d in directions]
-    scores = [asr(cache, c, clamp=False) for c in candidates]
-    return candidates[int(np.argmax(scores))]
-
-
 def power_sweep_rounding(
     cache: QuadFormCache,
     W_star: np.ndarray,
     params: SCAParams,
     rng: np.random.Generator,
-    n_power_grid: int = 64,
 ) -> np.ndarray:
-    """Gaussian rounding with a transmit-power line search per direction.
+    """Rank-one precoder from a lifted solution: Gaussian rounding with a power search.
 
     The rank-relaxed optimum often uses strictly less than the full power
     budget (pushing the eavesdropper term down faster than the legitimate
     one); forcing rounded candidates onto the full-power sphere then
     discards exactly what the lifted solution gained.  Here every direction
     (the leading eigenvector plus ``n_randomizations`` Gaussian draws from
-    W_star) is swept over tr(v v^H) in (0, N_t] (quadratic forms scale linearly
-    with the power, so a whole ray costs one extra log-sum-exp per grid
-    point) and the best (direction, power) pair by approximate secrecy
-    rate is returned.  The grid includes both the full budget and
-    tr(W_star), so the result is never worse than full-power rounding over
-    the same directions.  As in :func:`extract_precoder`, a numerically
-    rank-one W_star sweeps only the leading eigenvector (the Gaussian draws
-    are still taken, so the generator advances the same way).  A W_star
-    with no positive eigenvalue, which SCA reaches when the relaxed optimum
-    collapses to 0, sweeps the all-ones direction and isotropic draws
-    instead of raising.
+    W_star) is swept over ``_POWER_GRID`` equispaced powers tr(v v^H) in
+    (0, N_t] plus tr(W_star) (quadratic forms scale linearly with the power,
+    so a whole ray costs one extra log-sum-exp per grid point), and the best
+    (direction, power) pair by approximate secrecy rate is returned.  As the
+    grid includes the full budget, the result is never worse than
+    full-power rounding over the same directions.  A numerically rank-one
+    W_star (second eigenvalue at most ``rank_tol`` times the first) sweeps
+    only the leading eigenvector; the Gaussian draws are still taken, so
+    the generator advances the same way.  A W_star with no positive
+    eigenvalue, which SCA reaches when the relaxed optimum collapses to 0,
+    sweeps the normalised all-ones direction and isotropic draws instead.
     """
     n_tx = cache.n_tx
     lead_dir, directions, lam = _rounding_directions(W_star, params.n_randomizations, rng)
     if _is_rank_one(lam, params.rank_tol):
         directions = []
-    trace_w = float(np.clip(np.real(np.trace(W_star)), n_tx / n_power_grid, n_tx))
+    trace_w = float(np.clip(np.real(np.trace(W_star)), n_tx / _POWER_GRID, n_tx))
     t_grid = np.unique(
-        np.concatenate([np.linspace(n_tx / n_power_grid, n_tx, n_power_grid), [trace_w]])
+        np.concatenate([np.linspace(n_tx / _POWER_GRID, n_tx, _POWER_GRID), [trace_w]])
     )
     best_vec, best_val = None, -np.inf
     for direction in [lead_dir] + directions:

@@ -1,7 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.special import softmax
 
 import smsec as S
+from smsec.metrics import log2sumexp2
+from smsec.optim import _lifted_grad, _pair_traces
+
+LN2 = math.log(2.0)
 
 
 @pytest.fixture
@@ -75,3 +82,23 @@ def capped_simplex_oracle(lam, budget, tol=1e-12):
     assert np.all(lam[~positive] <= tau + tol * scale)
     assert tau * abs(budget - np.sum(x)) <= tol * scale * scale
     return x
+
+
+# The lifted terms evaluated one quantity at a time, as smsec.optim did before
+# _lifted_eval fused them into one exponential pass; kept as references.
+
+
+def lifted_logterms(cache, side, W):
+    """Per-k log2 sum_k' exp(-p1 tr(W A_{kk'})/2) on the ``side`` link, shape (K,)."""
+    t = _pair_traces(cache, side, W)
+    return log2sumexp2(-0.5 * cache.p1 * t / LN2, axis=1)
+
+
+def lifted_weights(cache, side, W):
+    """Row softmax of -p1 tr(W A_{kk'})/2: the gradient weights of each log term."""
+    return softmax(-0.5 * cache.p1 * _pair_traces(cache, side, W), axis=1)
+
+
+def mean_lifted_grad(cache, side, W):
+    """(1/K) sum_k of the lifted log-sum-exp gradient at W (Hermitian)."""
+    return _lifted_grad(cache, side, lifted_weights(cache, side, W))

@@ -117,6 +117,25 @@ def test_missing_config_exit_code(tmp_path):
     assert main(["cdf", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == 2
 
 
+def test_non_utf8_config_exit_code(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(TINY_CONFIG.encode() + b"\xff\n")
+    assert main(["sr-vs-snr", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_output_path_is_a_file_exit_code(config_file, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    assert main(["flops", "--config", str(config_file), "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert taken.read_text() == "not a directory\n"
+
+
 def test_unparseable_config_exit_code(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("what even is this\n")

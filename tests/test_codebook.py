@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from smsec import Scheme, make_codebook, sm_signal
+from smsec import make_codebook
+from smsec.model import Scheme, sm_signal
 
 
 def assert_same_constellation(symbols, expected, tol=1e-12):

@@ -12,8 +12,8 @@ import pytest
 from scipy.special import softmax
 
 import smsec as S
-from smsec import asr, asr_gradient, build_cache, link_rate_approx, relaxed_asr
-from smsec.optim import _mean_lifted_grad
+from smsec import asr, asr_gradient, build_cache, link_rate_approx
+from smsec.optim import _lifted_eval, _lifted_grad, relaxed_asr
 
 from conftest import make_instance
 
@@ -88,8 +88,10 @@ def test_kernels_match_einsum_reference(n_tx, M, sigma2):
     for side in ("bob", "eve"):
         approx = math.log2(K) - np.mean(lse[side])
         assert rel_err(link_rate_approx(cache, side, v), approx) <= 1e-9
+        terms, weights = _lifted_eval(cache, side, W)
+        assert rel_err(terms, lifted[side]) <= 1e-9
         want = ref_mean_lifted_grad(mats[side], W, p1)
-        assert rel_err(_mean_lifted_grad(cache, side, W), want) <= 1e-9
+        assert rel_err(_lifted_grad(cache, side, weights), want) <= 1e-9
     assert rel_err(asr(cache, v), np.mean(lse["eve"] - lse["bob"])) <= 1e-9
     grad = ref_link_sum(mats["bob"], v, p1) - ref_link_sum(mats["eve"], v, p1)
     grad *= p1 / (2 * LN2 * K)

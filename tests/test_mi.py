@@ -12,6 +12,7 @@ from smsec import (
     secrecy_rate_mc,
     whiten,
 )
+from smsec.metrics import QuadFormCache
 
 from conftest import make_instance
 
@@ -140,7 +141,7 @@ def test_asr_equals_bound_difference(instance, rng):
 def test_asr_clamp(instance):
     *_, cache = instance
     # eavesdropper outgains the target when the roles are reversed
-    swapped = S.QuadFormCache(
+    swapped = QuadFormCache(
         signals=cache.signals,
         gram_b=cache.gram_e,
         gram_e=cache.gram_b,

@@ -4,27 +4,20 @@ The reference is the projected gradient ascent the subproblem solver used
 before: a full-gradient step from the current iterate, halved until the
 projected point improves the surrogate, doubled after every accepted step,
 stopping when an accepted gain drops below ``inner_tol``.  It evaluates the
-surrogate and the gradient separately, through ``_lifted_logterms`` and
-``_mean_lifted_grad``.  The solver under test extrapolates FISTA-style and
-evaluates each point once through ``_lifted_eval``.
+surrogate and the gradient separately, through the ``lifted_logterms`` and
+``mean_lifted_grad`` references of ``conftest``.  The solver under test
+extrapolates FISTA-style and evaluates each point once through
+``_lifted_eval``.
 """
-
-import math
 
 import numpy as np
 import pytest
 
 import smsec as S
-from smsec import SCAParams, project_spectrahedron, solve_sca_subproblem
-from smsec.optim import (
-    _STEP_FLOOR,
-    _lifted_eval,
-    _lifted_logterms,
-    _lifted_weights,
-    _mean_lifted_grad,
-)
+from smsec import SCAParams, project_spectrahedron
+from smsec.optim import _STEP_FLOOR, _lifted_eval, solve_sca_subproblem
 
-from conftest import make_instance
+from conftest import lifted_logterms, lifted_weights, make_instance, mean_lifted_grad
 
 LINKS = [(2, 2), (2, 3), (1, 6)]
 SNRS_DB = [0, 5, 10, 15]
@@ -34,12 +27,12 @@ OUTER_STEPS = 3
 
 def surrogate_fn(cache, W_prev):
     """The concave surrogate of the subproblem at W_prev, as the solver defines it."""
-    lin_grad = _mean_lifted_grad(cache, "eve", W_prev)
-    lin_const = float(np.mean(_lifted_logterms(cache, "eve", W_prev)))
+    lin_grad = mean_lifted_grad(cache, "eve", W_prev)
+    lin_const = float(np.mean(lifted_logterms(cache, "eve", W_prev)))
 
     def surrogate(W):
         linear = lin_const + float(np.real(np.sum(lin_grad * (W - W_prev).T)))
-        return linear - float(np.mean(_lifted_logterms(cache, "bob", W)))
+        return linear - float(np.mean(lifted_logterms(cache, "bob", W)))
 
     return lin_grad, surrogate
 
@@ -52,7 +45,7 @@ def reference_subproblem(cache, W_prev, params):
     current = surrogate(W)
     step = 1.0
     for _ in range(params.inner_max):
-        grad = lin_grad - _mean_lifted_grad(cache, "bob", W)
+        grad = lin_grad - mean_lifted_grad(cache, "bob", W)
         improved = False
         while step >= _STEP_FLOOR:
             candidate = project_spectrahedron(W + step * grad, budget)
@@ -121,12 +114,14 @@ def test_fused_evaluation_matches_separate_paths(n_tx, M, snr_db):
     ]
     for side in ("bob", "eve"):
         for W in points:
-            value, weights = _lifted_eval(cache, side, W)
-            want_value = float(np.mean(_lifted_logterms(cache, side, W)))
-            want_weights = _lifted_weights(cache, side, W)
-            assert math.isfinite(value)
+            terms, weights = _lifted_eval(cache, side, W)
+            want_terms = lifted_logterms(cache, side, W)
+            want_weights = lifted_weights(cache, side, W)
+            assert terms.shape == (cache.n_signals,)
+            assert np.all(np.isfinite(terms))
             assert np.all(np.isfinite(weights))
-            assert abs(value - want_value) <= 1e-12 * max(1.0, abs(want_value))
+            scale = np.maximum(1.0, np.abs(want_terms))
+            assert np.all(np.abs(terms - want_terms) <= 1e-12 * scale)
             # Weights that underflow to subnormals carry no relative precision;
             # anything above 1e-300 must agree to 1e-12 relative.
             np.testing.assert_allclose(weights, want_weights, rtol=1e-12, atol=1e-300)

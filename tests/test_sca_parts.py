@@ -4,19 +4,10 @@ import numpy as np
 import pytest
 
 import smsec as S
-from smsec import (
-    SCAParams,
-    asr,
-    f1,
-    f2,
-    grad_f1,
-    project_spectrahedron,
-    relaxed_asr,
-    solve_sca_subproblem,
-)
-from smsec.optim import _lifted_logterms, _mean_lifted_grad
+from smsec import SCAParams, asr, f1, grad_f1, project_spectrahedron
+from smsec.optim import f2, relaxed_asr, solve_sca_subproblem
 
-from conftest import capped_simplex_oracle, make_instance
+from conftest import capped_simplex_oracle, lifted_logterms, make_instance, mean_lifted_grad
 
 try:
     import cvxpy
@@ -182,8 +173,8 @@ def test_subproblem_start_point_identity(instance):
     *_, cache = instance
     v0 = S.default_precoder(4)
     W0 = np.outer(v0, v0.conj())
-    lin = float(np.mean(_lifted_logterms(cache, "eve", W0)))
-    f2_part = float(np.mean(_lifted_logterms(cache, "bob", W0)))
+    lin = float(np.mean(lifted_logterms(cache, "eve", W0)))
+    f2_part = float(np.mean(lifted_logterms(cache, "bob", W0)))
     assert lin - f2_part == pytest.approx(relaxed_asr(cache, W0), abs=1e-12)
     assert lin - f2_part == pytest.approx(asr(cache, v0), abs=1e-12)
 
@@ -195,12 +186,12 @@ def test_subproblem_never_worse_than_start(rng):
         W0 = np.outer(v0, v0.conj())
         W1 = solve_sca_subproblem(cache, W0, SCAParams())
         # surrogate objective at the solution vs at the start
-        lin_grad = _mean_lifted_grad(cache, "eve", W0)
-        lin_const = float(np.mean(_lifted_logterms(cache, "eve", W0)))
+        lin_grad = mean_lifted_grad(cache, "eve", W0)
+        lin_const = float(np.mean(lifted_logterms(cache, "eve", W0)))
 
         def surrogate(W):
             linear = lin_const + float(np.real(np.sum(lin_grad * (W - W0).T)))
-            return linear - float(np.mean(_lifted_logterms(cache, "bob", W)))
+            return linear - float(np.mean(lifted_logterms(cache, "bob", W)))
 
         assert surrogate(W1) >= surrogate(W0) - 1e-12
         eigvals = np.linalg.eigvalsh((W1 + W1.conj().T) / 2)
@@ -232,12 +223,12 @@ def test_subproblem_matches_grid_oracle():
     W0 = np.outer(v0, v0.conj())
     W1 = solve_sca_subproblem(cache, W0, SCAParams())
 
-    lin_grad = _mean_lifted_grad(cache, "eve", W0)
-    lin_const = float(np.mean(_lifted_logterms(cache, "eve", W0)))
+    lin_grad = mean_lifted_grad(cache, "eve", W0)
+    lin_const = float(np.mean(lifted_logterms(cache, "eve", W0)))
 
     def surrogate(W):
         linear = lin_const + float(np.real(np.sum(lin_grad * (W - W0).T)))
-        return linear - float(np.mean(_lifted_logterms(cache, "bob", W)))
+        return linear - float(np.mean(lifted_logterms(cache, "bob", W)))
 
     best = -np.inf
     grid = np.linspace(0.0, 2.0, 81)

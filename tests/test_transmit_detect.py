@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from smsec import (
-    PowerConfig,
-    an_projector,
-    make_codebook,
-    ml_detect,
-    sample_channel,
-    sm_signal,
-    transmit,
-)
+from smsec import PowerConfig, an_projector, make_codebook, sample_channel
+from smsec.model import ml_detect, sm_signal, transmit
 
 
 @pytest.fixture
