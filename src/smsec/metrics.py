@@ -2,9 +2,10 @@
 
 Two routes to the same quantity:
 
-* ``mi_monte_carlo`` / ``secrecy_rate_mc``: the exact mutual information of
-  the whitened link, estimated by averaging the log-sum-exp likelihood ratio
-  over sampled noise realizations.
+* ``mi_monte_carlo`` / ``secrecy_rate_mc`` (``secrecy_rate_mc_estimate``
+  with its standard error): the exact mutual information of the whitened
+  link, estimated by averaging the log-sum-exp likelihood ratio over
+  sampled noise realizations.
 * ``link_rate_approx`` / ``asr``: the closed-form approximation of each
   link's mutual information (the paper's analytical expression); the
   difference of the two links' approximations is the approximate secrecy
@@ -45,13 +46,32 @@ noise samples w_s, the exponent of pair (a, b) under sample s is
 
     E_sab = ||w_s||^2 - ||t_a - t_b + w_s||^2 = u_sb - u_sa - pairwise(T^H T)_ab,
 
-so all S K^2 exponents come from one broadcast of u and one K x K Gram,
-at cost O(S K^2 + S K N) and O(S K^2) memory.  No max shift is needed:
-E_sab <= ||w_s||^2, which for CN(0, I_N) samples stays far below the
-~709 at which exp overflows, and the diagonal E_saa is exactly 0 in
-floating point, so every row sum of exp(E) is at least 1 and its log2 is
-finite and nonnegative.  SR-GD (``smsec.optim``) reuses the same
-exponentials, normalised, as the weights of its gradient.
+which separates: sum_b exp(E_sab) = exp(-u_sa) sum_b X_ab exp(u_sb) with
+X = exp(-pairwise(T^H T)) (K x K, unit diagonal).  The kernel
+(``_mc_factors``) shifts each sample by c_s = max_b u_sb, takes the S K
+exponentials e = exp(u - c) and gets every row sum from one K x K by
+K x S matrix product, as 1 + (X' e)_as / e_as with X' the off-diagonal
+part of X.  That is O(S K^2 + S K N) time, O(S K + K^2) memory and
+O(S K + K^2) exponentials instead of S K^2 (see Blanchard, Higham &
+Higham, "Accurately computing the log-sum-exp and softmax functions",
+IMA J. Numer. Anal. 2021, for the shift).  The diagonal term is exactly 1
+in floating point, so every row sum is at least 1 and its log2 is finite
+and nonnegative.  SR-GD (``smsec.optim``) takes its gradient weights from
+the same factors.
+
+The factored form is exact only while each sample's spread
+max_b u_sb - min_b u_sb stays below ``_MC_SPREAD_LIMIT`` (500, fixed by
+the double-precision range; see its comment).  The spread grows with the
+received amplitude: at the ``configs/benchmark.cfg`` shape the legitimate
+link passes the limit at about 30-35 dB.  A call in which any sample
+exceeds it uses the direct kernel ``_mc_exponentials``, which forms all
+S K^2 exponentials E_sab <= ||w_s||^2 by one broadcast of u (O(S K^2)
+memory); it needs no shift, since for CN(0, I_N) samples ||w_s||^2 stays
+far below the ~709 at which exp overflows.
+
+``secrecy_rate_mc_estimate`` adds the standard error of the secrecy rate:
+both links draw the same noise (common random numbers), so it is the
+error of the paired per-sample differences.
 """
 
 from __future__ import annotations
@@ -83,12 +103,21 @@ __all__ = [
     "asr",
     "mi_monte_carlo",
     "secrecy_rate_mc",
+    "secrecy_rate_mc_estimate",
 ]
 
 _LN2 = math.log(2.0)
 # Per-dimension Jensen offset in bits: log2(e) for E||w||^2 minus the 1 bit
 # of the 2^-r factor in E exp(-||d + w||^2) over CN(0, I_r) noise.
 _JENSEN_GAP = 1.0 / _LN2 - 1.0
+
+# Largest per-sample spread max_b u_sb - min_b u_sb (natural-log units) for
+# which :func:`_mc_factors` is used.  Below it, in double precision, every
+# shifted exponential e = exp(u - max u) is at least e^-500, a normal float;
+# the reciprocal row sums 1 / (e + X e) <= e^500 keep SR-GD's matrix products
+# finite; and a pair whose exp(-D_ab) underflows (D_ab > ~745) weighs less
+# than e^(500 - 745) relative to its row sum.
+_MC_SPREAD_LIMIT = 500.0
 
 
 def log2sumexp2(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -329,8 +358,9 @@ def _complex_noise(rng: np.random.Generator, n_samp: int, dim: int) -> np.ndarra
 def _mc_exponentials(T: np.ndarray, noise: np.ndarray) -> np.ndarray:
     """exp(E_sab) for every symbol pair and noise sample, indexed [a, b, s].
 
-    ``T`` holds the noise-free received points t_k as columns (N x K) and
-    ``noise`` the whitened samples w_s as rows (S x N).  The exponent is
+    The direct kernel, used beyond :data:`_MC_SPREAD_LIMIT`.  ``T`` holds
+    the noise-free received points t_k as columns (N x K) and ``noise`` the
+    whitened samples w_s as rows (S x N).  The exponent is
     E_sab = ||w_s||^2 - ||t_a - t_b + w_s||^2 = u_sb - u_sa - ||t_a - t_b||^2
     with u = 2 Re(noise conj(T)).  It is bounded above by ||w_s||^2, so for
     CN(0, I) samples exp cannot overflow and needs no max shift; the
@@ -344,17 +374,85 @@ def _mc_exponentials(T: np.ndarray, noise: np.ndarray) -> np.ndarray:
     return np.exp(expo, out=expo)
 
 
+def _stacked_noise(noise: np.ndarray) -> np.ndarray:
+    """Samples w_s (rows of ``noise``, S x N) as the real 2N x S [Re W; Im W], W = noise^T."""
+    return np.concatenate([noise.real.T, noise.imag.T])
+
+
+def _mc_factors(
+    T: np.ndarray, stacked: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """The factored pair kernel: (inner, e, X, Xe), or None beyond the spread limit.
+
+    ``T`` holds the received points as columns (N x K) and ``stacked`` the
+    noise as :func:`_stacked_noise` returns it.  With u = 2 Re(T^H W)
+    (K x S), c_s = max_b u_sb, e = exp(u - c) and X = exp(-D),
+    D = pairwise(T^H T), with its unit diagonal zeroed, the row sums of
+    exp(E_sab) = exp(u_sb - u_sa - D_ab) are
+
+        sum_b exp(E_sab) = (e_as + (X e)_as) / e_as = 1 + (X e)_as / e_as,
+
+    so ``inner``, their log2 (K x S), costs O(K S) exponentials and one
+    K x K by K x S product.  As on the direct path the diagonal term is
+    exactly 1: with no signal (T = 0) and K a power of two every entry of
+    ``inner`` is log2(K) bit for bit.  Returns None when some sample's
+    spread max_b u_sb - min_b u_sb exceeds :data:`_MC_SPREAD_LIMIT`; the
+    caller then uses :func:`_mc_exponentials`.
+    """
+    u = (2 * np.concatenate([T.real, T.imag])).T @ stacked
+    top = u.max(axis=0)
+    if np.max(top - u.min(axis=0)) > _MC_SPREAD_LIMIT:
+        return None
+    u -= top
+    e = np.exp(u, out=u)
+    X = np.exp(-_pairwise(T.conj().T @ T))
+    np.fill_diagonal(X, 0.0)
+    Xe = X @ e
+    inner = Xe / e
+    inner += 1.0
+    return np.log2(inner, out=inner), e, X, Xe
+
+
 def _mc_per_sample(T: np.ndarray, noise: np.ndarray) -> np.ndarray:
     """Per-noise-sample mutual-information estimates, shape (S,).
 
     For each transmitted symbol a the integrand is
     log2 sum_b exp(||w||^2 - ||t_a - t_b + w||^2) over the received points
     ``T`` (N x K); the noise samples (rows of ``noise``) are shared across
-    the average over a.  See :func:`_mc_exponentials` for the exponents
-    and why their row sums need no max shift.
+    the average over a.  The row sums come from :func:`_mc_factors`, or from
+    :func:`_mc_exponentials` beyond the spread limit.
     """
-    inner = np.log2(_mc_exponentials(T, noise).sum(axis=1))  # (K, S)
+    factors = _mc_factors(T, _stacked_noise(noise))
+    if factors is None:
+        inner = np.log2(_mc_exponentials(T, noise).sum(axis=1))
+    else:
+        inner = factors[0]
     return np.log2(T.shape[1]) - np.mean(inner, axis=0)
+
+
+def _link_samples(
+    channel: np.ndarray,
+    whitening: np.ndarray,
+    codebook: SMCodebook,
+    v: np.ndarray,
+    p1: float,
+    n_samp: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Per-sample mutual-information estimates of one link, shape (n_samp,)."""
+    if n_samp < 1:
+        raise ValueError("n_samp must be >= 1")
+    v = np.asarray(v, dtype=complex)
+    noise = _complex_noise(rng, n_samp, channel.shape[0])
+    T = _noiseless_points(whitening @ channel, v, codebook.signal_matrix(), p1)
+    return _mc_per_sample(T, noise)
+
+
+def _std_error(samples: np.ndarray) -> float:
+    """Standard error of the mean of ``samples``; 0 for a single sample."""
+    if len(samples) < 2:
+        return 0.0
+    return float(np.std(samples, ddof=1) / np.sqrt(len(samples)))
 
 
 def mi_monte_carlo(
@@ -375,18 +473,35 @@ def mi_monte_carlo(
     sqrt(n_samp).  The value is floored at 0 (the estimator can dip below
     zero by sampling noise alone).
     """
-    if n_samp < 1:
-        raise ValueError("n_samp must be >= 1")
-    v = np.asarray(v, dtype=complex)
-    noise = _complex_noise(rng, n_samp, channel.shape[0])
-    T = _noiseless_points(whitening @ channel, v, codebook.signal_matrix(), p1)
-    per_sample = _mc_per_sample(T, noise)
+    per_sample = _link_samples(channel, whitening, codebook, v, p1, n_samp, rng)
     value = float(np.mean(per_sample))
-    if n_samp > 1:
-        std_error = float(np.std(per_sample, ddof=1) / np.sqrt(n_samp))
-    else:
-        std_error = 0.0
-    return MIEstimate(value=max(value, 0.0), std_error=std_error, n_samples=n_samp)
+    return MIEstimate(value=max(value, 0.0), std_error=_std_error(per_sample), n_samples=n_samp)
+
+
+def secrecy_rate_mc_estimate(
+    channels: ChannelPair,
+    proj: ANProjector,
+    powers: PowerConfig,
+    codebook: SMCodebook,
+    v: np.ndarray,
+    n_samp: int,
+    rng: np.random.Generator,
+) -> MIEstimate:
+    """Monte-Carlo secrecy rate with its common-random-numbers standard error.
+
+    ``value`` is [max(I_b, 0) - max(I_e, 0)]^+ of the two links' floored
+    :func:`mi_monte_carlo` values; ``std_error`` is the standard error of the
+    paired per-sample differences I_b,s - I_e,s, which share their noise
+    draws, so it is the error of the unfloored difference of the means.
+    """
+    wh_b, wh_e, rng_b, rng_e = _link_pair_setup(channels, proj, powers, rng)
+    per_b = _link_samples(channels.H, wh_b, codebook, v, powers.p1, n_samp, rng_b)
+    per_e = _link_samples(channels.G, wh_e, codebook, v, powers.p1, n_samp, rng_e)
+    mi_b = max(float(np.mean(per_b)), 0.0)
+    mi_e = max(float(np.mean(per_e)), 0.0)
+    return MIEstimate(
+        value=max(mi_b - mi_e, 0.0), std_error=_std_error(per_b - per_e), n_samples=n_samp
+    )
 
 
 def secrecy_rate_mc(
@@ -402,9 +517,7 @@ def secrecy_rate_mc(
 
     Both links are estimated with ``n_samp`` noise realizations drawn from
     generators seeded identically (common random numbers), which cancels
-    shared sampling noise in the difference.
+    shared sampling noise in the difference.  The value of
+    :func:`secrecy_rate_mc_estimate`.
     """
-    wh_b, wh_e, rng_b, rng_e = _link_pair_setup(channels, proj, powers, rng)
-    mi_b = mi_monte_carlo(channels.H, wh_b, codebook, v, powers.p1, n_samp, rng_b)
-    mi_e = mi_monte_carlo(channels.G, wh_e, codebook, v, powers.p1, n_samp, rng_e)
-    return max(mi_b.value - mi_e.value, 0.0)
+    return secrecy_rate_mc_estimate(channels, proj, powers, codebook, v, n_samp, rng).value

@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from time import perf_counter
 
 import numpy as np
 
@@ -42,8 +43,10 @@ from .metrics import (
     _complex_noise,
     _link_pair_setup,
     _mc_exponentials,
+    _mc_factors,
     _pair_quadforms,
     _pairwise,
+    _stacked_noise,
     QuadFormCache,
     asr,
     log2sumexp2,
@@ -156,7 +159,9 @@ class OptTrace:
     step fell below ``step_min``), ``"tol"`` (consecutive SCA objectives
     agreed within ``tol``) or ``"max_iters"`` (the iteration cap).
     ``inner_steps`` is the inner work: for SCA the spectrahedron projections
-    summed over all subproblems, 0 for the gradient methods.
+    summed over all subproblems, 0 for the gradient methods.  ``wall_s`` is
+    the run's wall-clock time in seconds (``time.perf_counter``), 0.0 for a
+    trace not produced by an optimizer.
     """
 
     objective_history: list[float]
@@ -165,6 +170,7 @@ class OptTrace:
     final_vector: np.ndarray
     stop_reason: str | None = None
     inner_steps: int = 0
+    wall_s: float = 0.0
 
 
 def default_precoder(n_tx: int) -> np.ndarray:
@@ -284,6 +290,7 @@ def _ascend(value_and_grad, v0: np.ndarray, n_tx: int, params: GDParams) -> OptT
     ``"step_floor"``) or after ``max_iters`` accepted updates (``"max_iters"``).
     ``iterations`` counts accepted updates.
     """
+    start = perf_counter()
     v = _check_start(v0, n_tx)
     mu = params.step_init
     value, grad = value_and_grad(v)
@@ -312,6 +319,7 @@ def _ascend(value_and_grad, v0: np.ndarray, n_tx: int, params: GDParams) -> OptT
         converged=stop_reason == "step_floor",
         final_vector=v,
         stop_reason=stop_reason,
+        wall_s=perf_counter() - start,
     )
 
 
@@ -329,17 +337,73 @@ def max_asr_gd(cache: QuadFormCache, v0: np.ndarray, params: GDParams) -> OptTra
     )
 
 
+@dataclass(frozen=True)
+class _FrozenLink:
+    """One link of :class:`_SampledSecrecyObjective`: whitened channel and frozen noise.
+
+    ``F`` is the whitened channel (N x N_t), ``noise`` the samples w_s as
+    rows (S x N), ``stacked`` the same samples as the real (2N x S) array
+    the factored kernel takes, and ``z`` the rows z_s = F^H w_s as the real
+    S x 2N_t array [Re z, Im z], so the gradient contracts it with one real
+    matrix product.
+    """
+
+    F: np.ndarray
+    noise: np.ndarray
+    stacked: np.ndarray
+    z: np.ndarray
+
+    @classmethod
+    def draw(cls, F: np.ndarray, rng: np.random.Generator, n_samp: int) -> "_FrozenLink":
+        noise = _complex_noise(rng, n_samp, F.shape[0])
+        z = noise @ F.conj()
+        return cls(F=F, noise=noise, stacked=_stacked_noise(noise), z=np.hstack([z.real, z.imag]))
+
+
+def _direct_pair_weights(
+    T: np.ndarray, noise: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Log2 row sums (K x S), summed pair weights (K x K) and row-minus-column sums (K x S).
+
+    From the direct kernel :func:`~smsec.metrics._mc_exponentials`: the
+    pair weights are the row softmax of E_sab with the diagonal zeroed.
+    """
+    weights = _mc_exponentials(T, noise)  # exp(E), indexed [a, b, s]
+    sums = weights.sum(axis=1)  # (K, S)
+    weights /= sums[:, None, :]
+    diag = np.arange(T.shape[1])
+    weights[diag, diag] = 0.0
+    return np.log2(sums), weights.sum(axis=2), weights.sum(axis=1) - weights.sum(axis=0)
+
+
+def _factored_pair_weights(
+    e: np.ndarray, X: np.ndarray, Xe: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pair-weight sums of :func:`_direct_pair_weights` from ``_mc_factors``' factors.
+
+    With g = 1 / (e + X e) the off-diagonal weights are X_ab e_bs g_as, so
+    their sum over samples is X * (g e^T), their row sums are g * (X e) and,
+    X being symmetric, their column sums are e * (X g).  Using the zero-
+    diagonal X for the row sums avoids forming 1 - (a weight near 1).
+    """
+    g = np.add(e, Xe)
+    np.reciprocal(g, out=g)
+    r_minus_c = e * (X @ g)
+    np.subtract(Xe * g, r_minus_c, out=r_minus_c)
+    return X * (g @ e.T), r_minus_c
+
+
 class _SampledSecrecyObjective:
     """Monte-Carlo secrecy rate with frozen noise: deterministic in v.
 
     Freezes ``n_samp`` whitened-noise realizations per link (identically
     seeded on both links) so that repeated evaluations are a pure function
     of the precoder, making the ascent loop's accept/reject decisions and
-    finite-difference checks well defined.  Each link keeps its whitened
-    channel F, its samples w_s (rows of ``noise_*``) and z_s = F^H w_s
-    (rows of ``z_*``); :meth:`value_and_gradient` evaluates both links with
-    the Monte-Carlo pair kernel of ``smsec.metrics`` and reuses its
-    exponentials for the gradient.
+    finite-difference checks well defined.  ``bob`` and ``eve`` are the
+    links' :class:`_FrozenLink` records; :meth:`value_and_gradient`
+    evaluates both with the Monte-Carlo pair kernel of ``smsec.metrics``
+    (factored, or direct beyond its spread limit) and takes the gradient's
+    pair weights from the same factors.
     """
 
     def __init__(
@@ -356,44 +420,45 @@ class _SampledSecrecyObjective:
         self.signals = codebook.signal_matrix()
         self.p1 = powers.p1
         wh_b, wh_e, rng_b, rng_e = _link_pair_setup(channels, proj, powers, rng)
-        self.F_b = wh_b @ channels.H
-        self.F_e = wh_e @ channels.G
-        self.noise_b = _complex_noise(rng_b, n_samp, channels.H.shape[0])
-        self.noise_e = _complex_noise(rng_e, n_samp, channels.G.shape[0])
-        self.z_b = self.noise_b @ self.F_b.conj()
-        self.z_e = self.noise_e @ self.F_e.conj()
+        self.bob = _FrozenLink.draw(wh_b @ channels.H, rng_b, n_samp)
+        self.eve = _FrozenLink.draw(wh_e @ channels.G, rng_e, n_samp)
 
     def value_and_gradient(self, v: np.ndarray) -> tuple[float, np.ndarray]:
         """Sampled secrecy rate I(bob) - I(eve) at v and its conjugate gradient."""
         v = np.asarray(v, dtype=complex)
-        mi_b, g_b = self._link(self.F_b, self.noise_b, self.z_b, v)
-        mi_e, g_e = self._link(self.F_e, self.noise_e, self.z_e, v)
+        mi_b, g_b = self._link(self.bob, v)
+        mi_e, g_e = self._link(self.eve, v)
         return float(mi_b - mi_e), g_b - g_e
 
-    def _link(self, F, noise, z, v) -> tuple[float, np.ndarray]:
+    def _link(self, link: _FrozenLink, v: np.ndarray) -> tuple[float, np.ndarray]:
         # Sampled MI of one link and its d/d(conj v).  With d = s_a - s_b the
         # exponent E_sab = -||alpha||^2 - 2 Re(alpha^H w_s) of
         # alpha = sqrt(p1) F diag(d) v has
         # dE/d(conj v) = -sqrt(p1) conj(d) * (F^H alpha + z_s) elementwise.
         # Weighting by the softmax w of E and summing over the pairs, the
         # F^H alpha part is _pair_apply with Y = F^H T and P = sum_s w, and
-        # the z_s part is z_s * (conj(S) (r_s - c_s)) with r, c the row and
-        # column sums of w.  The diagonal (d = 0) is dropped before summing:
-        # it adds nothing, but at high SNR its weight is ~1 and would swamp
-        # the off-diagonal terms.
+        # the z_s part is sum_s z_s * (conj(S) (r_s - c_s)) with r, c the row
+        # and column sums of w, taken as rowsum(conj(S) * M^T) with
+        # M = (r - c) z (K x N_t).  The diagonal (d = 0) is dropped before
+        # summing: it adds nothing, but at high SNR its weight is ~1 and would
+        # swamp the off-diagonal terms.  P and r - c come from the factored
+        # kernel (O(K S) exponentials) unless a sample's spread exceeds its
+        # limit, and then from the direct one.
         S = self.signals
         K = S.shape[1]
-        n_samp = noise.shape[0]
-        T = _noiseless_points(F, v, S, self.p1)
-        weights = _mc_exponentials(T, noise)  # exp(E), indexed [a, b, s]
-        sums = weights.sum(axis=1)  # (K, S)
-        mi = np.mean(np.log2(K) - np.mean(np.log2(sums), axis=0))
-        weights /= sums[:, None, :]
-        diag = np.arange(K)
-        weights[diag, diag] = 0.0
-        r_minus_c = weights.sum(axis=1) - weights.sum(axis=0)  # (K, S)
-        term_u = _pair_apply(S, F.conj().T @ T, weights.sum(axis=2))
-        term_z = np.sum(z * (r_minus_c.T @ S.conj().T), axis=0)
+        n_samp = link.noise.shape[0]
+        T = _noiseless_points(link.F, v, S, self.p1)
+        factors = _mc_factors(T, link.stacked)
+        if factors is None:
+            inner, P, r_minus_c = _direct_pair_weights(T, link.noise)
+        else:
+            inner, e, X, Xe = factors
+            P, r_minus_c = _factored_pair_weights(e, X, Xe)
+        mi = np.log2(K) - np.mean(inner)
+        term_u = _pair_apply(S, link.F.conj().T @ T, P)
+        M = r_minus_c @ link.z
+        n_tx = S.shape[0]
+        term_z = np.sum(S.conj() * (M[:, :n_tx] + 1j * M[:, n_tx:]).T, axis=1)
         scale = np.sqrt(self.p1) / (K * n_samp * _LN2)
         return mi, scale * (term_u + term_z)
 
@@ -664,6 +729,7 @@ def max_asr_sca(
     ``"max_iters"`` and whose ``inner_steps`` counts the spectrahedron
     projections of all subproblems.
     """
+    start = perf_counter()
     v0 = _check_start(v0, cache.n_tx)
     W = np.outer(v0, v0.conj())
     history = [relaxed_asr(cache, W)]
@@ -686,6 +752,7 @@ def max_asr_sca(
         final_vector=lead,
         stop_reason=stop_reason,
         inner_steps=sum(projections),
+        wall_s=perf_counter() - start,
     )
     return W, trace
 

@@ -54,7 +54,7 @@ PUBLIC = {
 # Names that are not at the top level, by the module that defines them.
 MODULE_ONLY = {
     "smsec.complexity": ["SDP_IPM_CONSTANT"],
-    "smsec.metrics": ["MIEstimate", "QuadFormCache", "log2sumexp2"],
+    "smsec.metrics": ["MIEstimate", "QuadFormCache", "log2sumexp2", "secrecy_rate_mc_estimate"],
     "smsec.model": ["ANProjector", "SMCodebook", "Scheme", "ml_detect", "sm_signal", "transmit"],
     "smsec.optim": ["f2", "random_precoder", "relaxed_asr", "solve_sca_subproblem"],
 }

@@ -12,7 +12,14 @@ from smsec import (
     secrecy_rate_mc,
     whiten,
 )
-from smsec.metrics import QuadFormCache
+from smsec.metrics import (
+    QuadFormCache,
+    _complex_noise,
+    _link_pair_setup,
+    _mc_per_sample,
+    secrecy_rate_mc_estimate,
+)
+from smsec.model import _noiseless_points
 
 from conftest import make_instance
 
@@ -239,3 +246,36 @@ def test_secrecy_rate_close_to_asr(instance):
     ]
     spread = np.std(values, ddof=1)
     assert abs(np.mean(values) - asr(cache, v, clamp=True)) <= max(3 * spread, 0.1)
+
+
+@pytest.mark.parametrize("n_samp", [1, 300])
+def test_secrecy_rate_estimate_value_and_paired_error(n_samp):
+    channels, proj, powers, codebook, _ = make_instance(seed=9)
+    v = np.array([1.0, 1j, -0.5, 1.2 + 0.3j])
+    est = secrecy_rate_mc_estimate(
+        channels, proj, powers, codebook, v, n_samp, np.random.default_rng(4)
+    )
+    # the value is secrecy_rate_mc's, and the difference of the floored link values
+    assert est.value == secrecy_rate_mc(
+        channels, proj, powers, codebook, v, n_samp, np.random.default_rng(4)
+    )
+    wh_b, wh_e, rng_b, rng_e = _link_pair_setup(
+        channels, proj, powers, np.random.default_rng(4)
+    )
+    mi_b = mi_monte_carlo(channels.H, wh_b, codebook, v, powers.p1, n_samp, rng_b)
+    mi_e = mi_monte_carlo(channels.G, wh_e, codebook, v, powers.p1, n_samp, rng_e)
+    assert est.value == max(mi_b.value - mi_e.value, 0.0)
+    assert est.n_samples == n_samp
+
+    # the error is that of the paired per-sample differences (common noise)
+    wh_b, wh_e, rng_b, rng_e = _link_pair_setup(
+        channels, proj, powers, np.random.default_rng(4)
+    )
+    per_link = []
+    for C, wh, link_rng in ((channels.H, wh_b, rng_b), (channels.G, wh_e, rng_e)):
+        noise = _complex_noise(link_rng, n_samp, C.shape[0])
+        T = _noiseless_points(wh @ C, v, codebook.signal_matrix(), powers.p1)
+        per_link.append(_mc_per_sample(T, noise))
+    diff = per_link[0] - per_link[1]
+    want = np.std(diff, ddof=1) / np.sqrt(n_samp) if n_samp > 1 else 0.0
+    assert est.std_error == pytest.approx(want, rel=1e-12, abs=0.0)

@@ -148,12 +148,14 @@ def test_traces_report_stop_reason_and_inner_steps(rng):
     for trace in (gd, sr):
         assert trace.stop_reason == "step_floor" and trace.converged
         assert trace.inner_steps == 0
+        assert trace.wall_s > 0
     capped = max_asr_gd(cache, v0, GDParams(max_iters=1))
     assert capped.stop_reason == "max_iters" and not capped.converged
 
     params = SCAParams()
     W, sca = max_asr_sca(cache, v0, params)
     assert sca.stop_reason == "tol" and sca.converged
+    assert sca.wall_s > 0
     # inner_steps is the projection count summed over the same subproblems
     counts = []
     W_path = np.outer(v0, v0.conj())
