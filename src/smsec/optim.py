@@ -5,7 +5,9 @@ Three methods under the power constraint tr(v v^H) <= N_t:
 * :func:`max_asr_gd`: gradient ascent on the closed-form approximate
   secrecy rate, with step-size halving on non-improving steps.  Every step
   is renormalized onto the power sphere tr(v v^H) = N_t, so the search
-  never tries a lower power.
+  never tries a lower power.  Each candidate's value and gradient come from
+  one quadratic-form and softmax pass per link
+  (:func:`_asr_value_and_gradient`).
 * :func:`max_sr_gd`: the same ascent loop (on the same sphere) driven by
   the Monte-Carlo secrecy rate under frozen noise samples (common random
   numbers), so the objective and its sample-average gradient are
@@ -48,7 +50,7 @@ from .metrics import (
     _pairwise,
     _stacked_noise,
     QuadFormCache,
-    asr,
+    asr,  # not called here; tracing patches smsec.optim.asr, so the name stays
     log2sumexp2,
 )
 from .model import (
@@ -208,16 +210,29 @@ def asr_gradient(cache: QuadFormCache, v: np.ndarray) -> np.ndarray:
     """Conjugate (Wirtinger) gradient of the unclamped approximate secrecy rate.
 
     A perturbation d changes the objective by 2*Re(grad^H d) to first
-    order.  Both links' terms are softmax-weighted sums of the pair
-    matrices applied to v, taken through the links' K x K Gram matrices
-    (see :func:`_weighted_pair_apply`), so evaluation is
-    O(K N_t^2 + K^2 N_t) with K = M*N_t.
+    order.  The gradient part of :func:`_asr_value_and_gradient`.
+    """
+    return _asr_value_and_gradient(cache, v)[1]
+
+
+def _asr_value_and_gradient(
+    cache: QuadFormCache, v: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Unclamped approximate secrecy rate at v and its conjugate gradient.
+
+    One pass of :func:`_weighted_pair_apply` per link gives both the
+    per-symbol log terms and the gradient term, so the value equals
+    ``asr(cache, v, clamp=False)`` bit for bit (same quadratic forms, same
+    scaling, same max-shifted row sums) and the pair is evaluated in
+    O(K N_t^2 + K^2 N_t) with K = M*N_t.  Both links' gradient terms are
+    softmax-weighted sums of the pair matrices applied to v, taken through
+    the links' K x K Gram matrices.
     """
     v = np.asarray(v, dtype=complex)
-    p1 = cache.p1
-    term_b = _weighted_pair_apply(cache, "bob", v)
-    term_e = _weighted_pair_apply(cache, "eve", v)
-    return (p1 / (2 * _LN2 * cache.n_signals)) * (term_b - term_e)
+    inner_b, term_b = _weighted_pair_apply(cache, "bob", v)
+    inner_e, term_e = _weighted_pair_apply(cache, "eve", v)
+    grad = (cache.p1 / (2 * _LN2 * cache.n_signals)) * (term_b - term_e)
+    return float(np.mean(inner_e - inner_b)), grad
 
 
 def _row_log2sumexp2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -263,28 +278,35 @@ def _pair_apply(S: np.ndarray, Y: np.ndarray, P: np.ndarray) -> np.ndarray:
     )
 
 
-def _weighted_pair_apply(cache: QuadFormCache, side: str, v: np.ndarray) -> np.ndarray:
-    """sum_{kk'} P_kk' A_kk' v with P the row softmax of -p1 v^H A v / 2.
+def _weighted_pair_apply(
+    cache: QuadFormCache, side: str, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-symbol log terms of the ``side`` link at v and their weighted pair sum.
 
-    With X = diag(v) S and Y = R X, (A_kk' v)_i = conj(d_i) (Y_ik - Y_ik')
-    for d = s_k - s_k', so the sum is :func:`_pair_apply` of (S, Y, P).
+    The log terms are log2 sum_k' exp(-p1 v^H A_kk' v / 2), shape (K,), as
+    in ``smsec.metrics.asr``; the sum is sum_{kk'} P_kk' A_kk' v with P
+    their row softmax.  With X = diag(v) S and Y = R X,
+    (A_kk' v)_i = conj(d_i) (Y_ik - Y_ik') for d = s_k - s_k', so the sum
+    is :func:`_pair_apply` of (S, Y, P).  Both come from one quadratic-form
+    and one exponential pass.
     """
     S = cache.signals
     X = v[:, None] * S
     Y = cache.gram(side) @ X
     q = _pairwise(X.conj().T @ Y)
-    _, P = _row_log2sumexp2(-0.5 * cache.p1 * q / _LN2)
-    return _pair_apply(S, Y, _off_diagonal(P))
+    inner, P = _row_log2sumexp2(-0.5 * cache.p1 * q / _LN2)
+    return inner, _pair_apply(S, Y, _off_diagonal(P))
 
 
 def _ascend(value_and_grad, v0: np.ndarray, n_tx: int, params: GDParams) -> OptTrace:
     """Shared ascent loop: step, renormalize, accept if not worse, else halve.
 
     ``value_and_grad(v)`` returns the objective and its conjugate gradient
-    at v; it is called once per candidate, so an accepted step already
-    holds the gradient of the next iterate.  Steps that decrease the
-    objective are rejected and halve the step; accepted steps that improve
-    by less than ``min_improve`` also halve it (plateau rule), so the run
+    at v from one evaluation; it is called once per candidate, accepted or
+    rejected, so an accepted step already holds the gradient of the next
+    iterate.  Steps that decrease the objective are rejected and halve the
+    step; accepted steps that improve by less than ``min_improve`` also
+    halve it (plateau rule), so the run
     terminates once progress stalls.  The step size only ever shrinks; the
     run stops when it falls below ``step_min`` (converged, stop reason
     ``"step_floor"``) or after ``max_iters`` accepted updates (``"max_iters"``).
@@ -326,15 +348,12 @@ def _ascend(value_and_grad, v0: np.ndarray, n_tx: int, params: GDParams) -> OptT
 def max_asr_gd(cache: QuadFormCache, v0: np.ndarray, params: GDParams) -> OptTrace:
     """Gradient ascent on the approximate secrecy rate (unclamped).
 
+    Each candidate costs one quadratic-form and softmax pass per link
+    (:func:`_asr_value_and_gradient`), which gives its value and gradient.
     Accepted-iterate objectives are non-decreasing by construction; the
     final vector satisfies tr(v v^H) <= N_t.
     """
-    return _ascend(
-        lambda v: (asr(cache, v, clamp=False), asr_gradient(cache, v)),
-        v0,
-        cache.n_tx,
-        params,
-    )
+    return _ascend(lambda v: _asr_value_and_gradient(cache, v), v0, cache.n_tx, params)
 
 
 @dataclass(frozen=True)
@@ -724,10 +743,11 @@ def max_asr_sca(
     well as its start point.
 
     Returns the final lifted matrix and a trace whose ``final_vector`` is
-    the power-scaled leading eigenvector (use :func:`power_sweep_rounding`
-    for randomized rounding), whose ``stop_reason`` is ``"tol"`` or
-    ``"max_iters"`` and whose ``inner_steps`` counts the spectrahedron
-    projections of all subproblems.
+    :func:`_leading_direction` scaled to full power (use
+    :func:`power_sweep_rounding` for randomized rounding), whose
+    ``stop_reason`` is ``"tol"`` or ``"max_iters"`` and whose
+    ``inner_steps`` counts the spectrahedron projections of all
+    subproblems.
     """
     start = perf_counter()
     v0 = _check_start(v0, cache.n_tx)
@@ -744,7 +764,7 @@ def max_asr_sca(
             stop_reason = "tol"
             break
     lam, U = np.linalg.eigh((W + W.conj().T) / 2)
-    lead = np.sqrt(cache.n_tx) * U[:, -1]
+    lead = np.sqrt(cache.n_tx) * _leading_direction(lam, U)
     trace = OptTrace(
         objective_history=history,
         iterations=iterations,
@@ -757,6 +777,23 @@ def max_asr_sca(
     return W, trace
 
 
+def _leading_direction(lam: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Unit leading eigenvector of an ascending ``eigh`` result, phase fixed.
+
+    The eigenvector is rotated so that its largest-modulus entry is real and
+    positive, so it does not depend on the phase LAPACK happens to return
+    (the Monte-Carlo secrecy rate under frozen noise depends on the global
+    phase of v).  With no positive eigenvalue (a collapsed W = 0) it is the
+    normalised all-ones direction.
+    """
+    if lam[-1] > 0:
+        lead = U[:, -1]
+        pivot = lead[np.argmax(np.abs(lead))]
+        return lead * (np.abs(pivot) / pivot)
+    n = U.shape[0]
+    return np.ones(n, dtype=complex) / np.sqrt(n)
+
+
 def _rounding_directions(
     W_star: np.ndarray, n_randomizations: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
@@ -764,23 +801,18 @@ def _rounding_directions(
 
     Neither depends on the eigenbasis LAPACK happens to return, so the
     rounded precoder moves continuously with W_star: the Gaussian candidates
-    are W_star^{1/2} z with the Hermitian square root, and the leading
-    eigenvector is rotated so that its largest-modulus entry is real and
-    positive (the Monte-Carlo secrecy rate under frozen noise depends on the
-    global phase of v).  When W_star has no positive eigenvalue (the relaxed
-    solution collapsed to 0) the lead is the normalised all-ones direction
-    and the candidates are isotropic.  Also returns the ascending spectrum.
+    are W_star^{1/2} z with the Hermitian square root, and the lead is
+    :func:`_leading_direction`.  When W_star has no positive eigenvalue (the
+    relaxed solution collapsed to 0) the candidates are isotropic.  Also
+    returns the ascending spectrum.
     """
     lam, U = np.linalg.eigh((W_star + W_star.conj().T) / 2)
     n = W_star.shape[0]
+    lead = _leading_direction(lam, U)
     if lam[-1] > 0:
         root = (U * np.sqrt(np.clip(lam, 0.0, None))) @ U.conj().T
-        lead = U[:, -1]
-        pivot = lead[np.argmax(np.abs(lead))]
-        lead = lead * (np.abs(pivot) / pivot)
     else:
         root = np.eye(n)
-        lead = np.ones(n, dtype=complex) / np.sqrt(n)
     directions = []
     for _ in range(n_randomizations):
         z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)

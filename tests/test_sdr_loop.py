@@ -11,7 +11,13 @@ from smsec import (
     max_sr_gd,
     power_sweep_rounding,
 )
-from smsec.optim import _is_rank_one, _rounding_directions, relaxed_asr, solve_sca_subproblem
+from smsec.optim import (
+    _is_rank_one,
+    _leading_direction,
+    _rounding_directions,
+    relaxed_asr,
+    solve_sca_subproblem,
+)
 
 from conftest import make_instance
 
@@ -107,6 +113,38 @@ def test_power_sweep_handles_zero_matrix(instance):
     assert np.all(np.isfinite(v))
     assert np.sum(np.abs(v) ** 2) <= 4 * (1 + 1e-9)
     assert asr(cache, v) >= asr(cache, S.default_precoder(4)) - 1e-12
+
+
+def test_leading_direction_fixes_the_eigenvector_phase(rng):
+    # Any phase of the returned eigenvector gives the same lead, whose
+    # largest-modulus entry is real (to rounding) and positive.
+    v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    W = np.outer(v, v.conj()) + 0.1 * np.eye(4)
+    lam, U = np.linalg.eigh(W)
+    lead = _leading_direction(lam, U)
+    pivot = lead[np.argmax(np.abs(lead))]
+    assert abs(pivot.imag) <= 1e-15 and pivot.real > 0
+    assert np.linalg.norm(lead) == pytest.approx(1.0, abs=1e-12)
+    assert abs(np.vdot(lead, v)) == pytest.approx(np.linalg.norm(v), rel=1e-12)
+    for theta in (0.3, 1.7, np.pi, -2.4):
+        np.testing.assert_allclose(
+            _leading_direction(lam, U * np.exp(1j * theta)), lead, rtol=0, atol=1e-14
+        )
+
+
+def test_leading_direction_of_zero_matrix_is_all_ones():
+    lam, U = np.linalg.eigh(np.zeros((4, 4), dtype=complex))
+    np.testing.assert_array_equal(_leading_direction(lam, U), np.full(4, 0.5, dtype=complex))
+
+
+def test_sca_final_vector_is_the_phase_fixed_lead(rng):
+    for seed in range(3):
+        *_, cache = make_instance(seed=seed)
+        W, trace = max_asr_sca(cache, S.default_precoder(4), SCAParams())
+        lam, U = np.linalg.eigh((W + W.conj().T) / 2)
+        np.testing.assert_array_equal(trace.final_vector, 2.0 * _leading_direction(lam, U))
+        pivot = trace.final_vector[np.argmax(np.abs(trace.final_vector))]
+        assert abs(pivot.imag) <= 1e-15 and pivot.real > 0
 
 
 def test_power_sweep_at_least_as_good_as_full_power(rng):

@@ -7,13 +7,18 @@ narrowed to 2 channels:
 * the ``run_sr_vs_snr`` rows of a ``none, max-sr-gd`` run at 35 dB, where
   about half the Monte-Carlo kernel calls (the legitimate link's) exceed
   the factored kernel's spread limit and take the direct path;
-* the ``run_iteration_pmf`` counts.
+* the ``run_iteration_pmf`` counts;
+* the ``run_sr_vs_snr`` rows and ``run_iteration_pmf`` counts of the wide
+  shape (``n_tx = 16``, ``M = 4``, ``none, max-asr-gd``), where the
+  pairwise quadratic-form kernel of ASR-GD dominates.
 
-It was written by running this file as a script at commit c4b90ce, before
-the Monte-Carlo kernel was factored, with Python 3.11.7, numpy 2.4.6 and
-scipy 1.17.1.  Rates must match to 1e-9 relative (floating-point sums may
-reorder across kernels and library versions); iteration counts must match
-exactly.
+The first three keys were written at commit c4b90ce, before the
+Monte-Carlo kernel was factored; the two ``*_wide`` keys at commit 78f95fa,
+before ASR-GD evaluated its value and gradient in one pass.  Both with
+Python 3.11.7, numpy 2.4.6 and scipy 1.17.1.  Running this file as a script
+adds the keys the file lacks and leaves the others as they are.  Rates must
+match to 1e-9 relative (floating-point sums may reorder across kernels and
+library versions); iteration counts must match exactly.
 """
 
 import json
@@ -37,10 +42,13 @@ def study_outputs() -> dict:
     high_snr = replace(
         config, snr_db_grid=(35,), methods=(Method.NONE, Method.MAX_SR_GD)
     )
+    wide = replace(config, n_tx=16, M=4, methods=(Method.NONE, Method.MAX_ASR_GD))
     return {
         "sr_vs_snr": run_sr_vs_snr(config),
         "sr_vs_snr_35db": run_sr_vs_snr(high_snr),
         "iteration_pmf": run_iteration_pmf(config),
+        "sr_vs_snr_wide": run_sr_vs_snr(wide),
+        "iteration_pmf_wide": run_iteration_pmf(wide),
     }
 
 
@@ -49,7 +57,7 @@ def outputs():
     return study_outputs()
 
 
-@pytest.mark.parametrize("study", ["sr_vs_snr", "sr_vs_snr_35db"])
+@pytest.mark.parametrize("study", ["sr_vs_snr", "sr_vs_snr_35db", "sr_vs_snr_wide"])
 def test_sr_vs_snr_rows_match_golden(outputs, study):
     want = json.loads(GOLDEN.read_text())[study]
     got = outputs[study]
@@ -65,5 +73,10 @@ def test_iteration_counts_match_golden(outputs):
     assert outputs["iteration_pmf"] == json.loads(GOLDEN.read_text())["iteration_pmf"]
 
 
+def test_wide_iteration_counts_match_golden(outputs):
+    assert outputs["iteration_pmf_wide"] == json.loads(GOLDEN.read_text())["iteration_pmf_wide"]
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(study_outputs(), indent=1) + "\n")
+    frozen = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    GOLDEN.write_text(json.dumps({**study_outputs(), **frozen}, indent=1) + "\n")
