@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from .errors import ConfigError, NumericalError
 from .harness import (
@@ -22,6 +24,7 @@ from .harness import (
     COMPLEXITY_COLUMNS,
     ITERATION_COLUMNS,
     SR_VS_SNR_COLUMNS,
+    ExperimentConfig,
     load_config,
     run_cdf,
     run_complexity_curve,
@@ -81,80 +84,80 @@ print("wrote {png_name}")
 '''
 
 
-def _emit_plot_script(out_dir: Path, name: str, text: str) -> None:
-    (out_dir / name).write_text(text, encoding="utf-8")
-
-
-def _cmd_sr_vs_snr(config, out_dir: Path) -> None:
-    rows = run_sr_vs_snr(config)
-    write_rows(out_dir / "sr_vs_snr.csv", SR_VS_SNR_COLUMNS, rows)
-    _emit_plot_script(
-        out_dir,
-        "plot_sr_vs_snr.py",
-        _PLOT_TEMPLATE.format(
-            csv_name="sr_vs_snr.csv",
-            x="snr_db",
-            y="mean_sr_mc",
-            xlabel="SNR (dB)",
-            ylabel="average secrecy rate (bits/channel use)",
-            extra="",
-            png_name="sr_vs_snr.png",
-        ),
+def _line_plot(stem: str, x: str, y: str, xlabel: str, ylabel: str, extra: str = "") -> str:
+    """Plot script drawing column ``y`` against ``x`` of ``<stem>.csv``, one line per method."""
+    return _PLOT_TEMPLATE.format(
+        csv_name=f"{stem}.csv",
+        x=x,
+        y=y,
+        xlabel=xlabel,
+        ylabel=ylabel,
+        extra=extra,
+        png_name=f"{stem}.png",
     )
 
 
-def _cmd_cdf(config, out_dir: Path) -> None:
-    rows = run_cdf(config, config.snr_db_grid)
-    write_rows(out_dir / "cdf.csv", CDF_COLUMNS, rows)
-    _emit_plot_script(
-        out_dir,
-        "plot_cdf.py",
+@dataclass(frozen=True)
+class _Study:
+    """One subcommand: it writes ``<stem>.csv`` and ``plot_<stem>.py`` into the output directory."""
+
+    name: str
+    run: Callable[[ExperimentConfig], list[dict]]
+    columns: tuple[str, ...]
+    stem: str
+    plot: str
+    help: str
+
+    def __call__(self, config: ExperimentConfig, out_dir: Path) -> None:
+        write_rows(out_dir / f"{self.stem}.csv", self.columns, self.run(config))
+        (out_dir / f"plot_{self.stem}.py").write_text(self.plot, encoding="utf-8")
+
+
+_STUDIES = (
+    _Study(
+        "sr-vs-snr",
+        run_sr_vs_snr,
+        SR_VS_SNR_COLUMNS,
+        "sr_vs_snr",
+        _line_plot(
+            "sr_vs_snr",
+            "snr_db",
+            "mean_sr_mc",
+            "SNR (dB)",
+            "average secrecy rate (bits/channel use)",
+        ),
+        "average secrecy rate versus SNR for each method",
+    ),
+    _Study(
+        "cdf",
+        lambda config: run_cdf(config, config.snr_db_grid),
+        CDF_COLUMNS,
+        "cdf",
         _CDF_PLOT_TEMPLATE.format(csv_name="cdf.csv", png_name="cdf.png"),
-    )
-
-
-def _cmd_iters(config, out_dir: Path) -> None:
-    rows = run_iteration_pmf(config)
-    write_rows(out_dir / "iterations.csv", ITERATION_COLUMNS, rows)
-    _emit_plot_script(
-        out_dir,
-        "plot_iterations.py",
-        _PLOT_TEMPLATE.format(
-            csv_name="iterations.csv",
-            x="trial",
-            y="iterations",
-            xlabel="trial",
-            ylabel="iterations to terminate",
-            extra="",
-            png_name="iterations.png",
+        "per-realization secrecy-rate samples for empirical CDFs",
+    ),
+    _Study(
+        "iters",
+        run_iteration_pmf,
+        ITERATION_COLUMNS,
+        "iterations",
+        _line_plot("iterations", "trial", "iterations", "trial", "iterations to terminate"),
+        "optimizer iteration counts at the first grid SNR",
+    ),
+    _Study(
+        "flops",
+        lambda config: run_complexity_curve(config.n_tx_grid, config.complexity_inputs()),
+        COMPLEXITY_COLUMNS,
+        "flops",
+        _line_plot(
+            "flops", "n_tx", "flops", "transmit antennas", "FLOPs", 'ax.set_yscale("log")\n'
         ),
-    )
+        "analytic FLOP counts over the antenna grid",
+    ),
+)
 
-
-def _cmd_flops(config, out_dir: Path) -> None:
-    rows = run_complexity_curve(config.n_tx_grid, config.complexity_inputs())
-    write_rows(out_dir / "flops.csv", COMPLEXITY_COLUMNS, rows)
-    _emit_plot_script(
-        out_dir,
-        "plot_flops.py",
-        _PLOT_TEMPLATE.format(
-            csv_name="flops.csv",
-            x="n_tx",
-            y="flops",
-            xlabel="transmit antennas",
-            ylabel="FLOPs",
-            extra='ax.set_yscale("log")\n',
-            png_name="flops.png",
-        ),
-    )
-
-
-_COMMANDS = {
-    "sr-vs-snr": _cmd_sr_vs_snr,
-    "cdf": _cmd_cdf,
-    "iters": _cmd_iters,
-    "flops": _cmd_flops,
-}
+# Dispatch by subcommand name; main calls the entry with (config, out_dir).
+_COMMANDS = {study.name: study for study in _STUDIES}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -163,13 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Secure spatial-modulation precoding experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("sr-vs-snr", "average secrecy rate versus SNR for each method"),
-        ("cdf", "per-realization secrecy-rate samples for empirical CDFs"),
-        ("iters", "optimizer iteration counts at the first grid SNR"),
-        ("flops", "analytic FLOP counts over the antenna grid"),
-    ):
-        cmd = sub.add_parser(name, help=help_text)
+    for study in _STUDIES:
+        cmd = sub.add_parser(study.name, help=study.help)
         cmd.add_argument("--config", required=True, help="key-value config file")
         cmd.add_argument("--seed", type=int, default=None, help="override config seed")
         cmd.add_argument("--out", default="results", help="output directory")

@@ -32,9 +32,17 @@ is a difference of entries of one K x K Gram matrix,
     v^H A_{kk'} v = G_kk + G_k'k' - 2 Re G_kk',  G = X^H R X,
 
 so all K^2 quadratic forms cost O(K N_t^2 + K^2 N_t) and
-:class:`QuadFormCache` holds only S and the two N_t x N_t Grams R.  The
-lifted traces tr(W A_{kk'}) and the softmax-weighted sums of the A_{kk'}
-used by the optimizers follow the same way (see ``smsec.optim``).
+:class:`QuadFormCache` holds only S and the two N_t x N_t Grams R.
+
+Every closed-form quantity is taken in the lifted form.  Under W = v v^H
+each quadratic form is a trace, v^H A_{kk'} v = tr(W A_{kk'}), and G above
+is S^H (R * W^T) S, so one kernel serves vectors and lifted matrices alike:
+``_pair_traces`` gives the K x K traces of any Hermitian W and
+``_lifted_eval`` their per-symbol log terms with the row-softmax weights.
+``asr`` and ``link_rate_approx`` are the lifted quantities at W = v v^H
+(``relaxed_asr`` and its per-link terms), and the optimizers in
+``smsec.optim`` take every pair gradient from the one weighted-sum kernel
+``_weighted_pair_sum`` there.
 
 The closed-form log-sum-exps are evaluated with max-shifting so that high
 signal-to-noise ratios do not underflow.
@@ -272,26 +280,70 @@ def _pairwise(G: np.ndarray) -> np.ndarray:
     return g[:, None] + g[None, :] - np.real(G + G.T)
 
 
-def _pair_quadforms(cache: QuadFormCache, side: str, v: np.ndarray) -> np.ndarray:
-    """Real quadratic forms v^H A_{kk'} v for every pair, shape (K, K)."""
-    X = v[:, None] * cache.signals
-    return _pairwise(X.conj().T @ (cache.gram(side) @ X))
+def _row_log2sumexp2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row log2 sum_k' 2^x_kk' (shape (K,)) and the row-softmax weights.
+
+    One max-shifted exponential pass: with m the row maxima and
+    e = 2^(x - m), the log terms are log2(rowsum e) + m and the weights
+    e / rowsum e, which are the derivatives of each log term with respect
+    to its row of x (up to the factor ln 2).
+    """
+    m = np.max(x, axis=1, keepdims=True)
+    e = np.exp2(x - m)
+    sums = e.sum(axis=1)
+    e /= sums[:, None]
+    return np.log2(sums) + m[:, 0], e
+
+
+def _pair_traces(cache: QuadFormCache, side: str, W: np.ndarray) -> np.ndarray:
+    """Real traces tr(W A_{kk'}) for every pair, shape (K, K).
+
+    tr(W A_{kk'}) = d^H (R * W^T) d with d = s_k - s_k', so all K^2 traces
+    are pairwise distances under one K x K Gram matrix S^H (R * W^T) S.
+    """
+    S = cache.signals
+    return _pairwise(S.conj().T @ (cache.gram(side) * W.T) @ S)
+
+
+def _lifted_eval(
+    cache: QuadFormCache, side: str, W: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-symbol lifted log terms on the ``side`` link at W and their weights.
+
+    The log terms are log2 sum_k' exp(-p1 tr(W A_{kk'}) / 2), shape (K,); the
+    weights are their row softmax, from which ``smsec.optim._lifted_grad``
+    builds the gradient.  Both come from one pass of :func:`_row_log2sumexp2`,
+    so the value and the gradient of a point cost one ``_pair_traces`` and
+    one exponential.
+    """
+    return _row_log2sumexp2(-0.5 * cache.p1 * _pair_traces(cache, side, W) / _LN2)
+
+
+def relaxed_asr(cache: QuadFormCache, W: np.ndarray) -> float:
+    """Lifted approximate secrecy rate at a Hermitian W (unclamped).
+
+    Averages the per-pair difference of the eavesdropper and legitimate
+    lifted log-sum-exp terms; at W = v v^H this equals ``asr(cache, v)``.
+    """
+    inner_e, _ = _lifted_eval(cache, "eve", W)
+    inner_b, _ = _lifted_eval(cache, "bob", W)
+    return float(np.mean(inner_e - inner_b))
 
 
 def link_rate_approx(cache: QuadFormCache, side: str, v: np.ndarray) -> float:
     """Closed-form link-rate approximation in bits (the paper's expression).
 
-    log2(M*N_t) - (1/(M*N_t)) * sum_k log2 sum_k' exp(-p1 * v^H A_{kk'} v / 2).
+    log2(M*N_t) - (1/(M*N_t)) * sum_k log2 sum_k' exp(-p1 * v^H A_{kk'} v / 2),
+    the lifted log terms of :func:`_lifted_eval` at W = v v^H.
 
     Tracks the Monte-Carlo mutual information closely over the whole SNR
     range and is exact in both limits (0 and log2(M*N_t)), but it is not a
     one-sided bound: in the mid-SNR transition region it can overshoot the
     true value.  :func:`mi_lower_bound` is the bound.
     """
-    K = cache.n_signals
-    q = _pair_quadforms(cache, side, np.asarray(v, dtype=complex))
-    inner = log2sumexp2(-0.5 * cache.p1 * q / _LN2, axis=1)
-    return float(np.log2(K) - np.mean(inner))
+    v = np.asarray(v, dtype=complex)
+    inner, _ = _lifted_eval(cache, side, np.outer(v, v.conj()))
+    return float(np.log2(cache.n_signals) - np.mean(inner))
 
 
 def mi_lower_bound(cache: QuadFormCache, side: str, v: np.ndarray) -> float:
@@ -314,17 +366,13 @@ def asr(cache: QuadFormCache, v: np.ndarray, clamp: bool = False) -> float:
 
     Equals link_rate_approx(bob) - link_rate_approx(eve) for every
     (N_b, N_e); it is not built from :func:`mi_lower_bound`, whose Jensen
-    offsets differ between the links when N_b != N_e.  Evaluated directly
-    from the two links' pairwise distances, so the log2(M*N_t) terms cancel
+    offsets differ between the links when N_b != N_e.  It is
+    :func:`relaxed_asr` at W = v v^H, so the log2(M*N_t) terms cancel
     analytically.  With ``clamp`` the value is floored at 0, matching the
     reported (rather than optimized) secrecy rate.
     """
     v = np.asarray(v, dtype=complex)
-    qb = _pair_quadforms(cache, "bob", v)
-    qe = _pair_quadforms(cache, "eve", v)
-    inner_b = log2sumexp2(-0.5 * cache.p1 * qb / _LN2, axis=1)
-    inner_e = log2sumexp2(-0.5 * cache.p1 * qe / _LN2, axis=1)
-    value = float(np.mean(inner_e - inner_b))
+    value = relaxed_asr(cache, np.outer(v, v.conj()))
     return max(value, 0.0) if clamp else value
 
 

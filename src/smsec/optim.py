@@ -6,8 +6,7 @@ Three methods under the power constraint tr(v v^H) <= N_t:
   secrecy rate, with step-size halving on non-improving steps.  Every step
   is renormalized onto the power sphere tr(v v^H) = N_t, so the search
   never tries a lower power.  Each candidate's value and gradient come from
-  one quadratic-form and softmax pass per link
-  (:func:`_asr_value_and_gradient`).
+  one lifted pass per link at W = v v^H (:func:`_asr_value_and_gradient`).
 * :func:`max_sr_gd`: the same ascent loop (on the same sphere) driven by
   the Monte-Carlo secrecy rate under frozen noise samples (common random
   numbers), so the objective and its sample-average gradient are
@@ -23,9 +22,14 @@ Three methods under the power constraint tr(v v^H) <= N_t:
   :func:`power_sweep_rounding` recovers a rank-one precoder from the
   solution by Gaussian randomization with a transmit-power line search.
 
-The closed-form objectives, their gradients and the lifted terms never form
-a pair matrix A_{kk'}: each is a pairwise-distance or weighted-sum identity
-over K x K Gram matrices of the SM signal matrix S (see ``smsec.metrics``).
+Every closed-form quantity is the lifted one at W = v v^H, and two kernels
+give them all without forming a pair matrix A_{kk'}: ``_pair_traces`` (in
+``smsec.metrics``) the pair values tr(W A_{kk'}), a pairwise distance over
+one K x K Gram matrix of the SM signal matrix S, and
+:func:`_weighted_pair_sum` the softmax-weighted sums of the A_{kk'} that
+every pair gradient is built from.  A vector gradient is the lifted gradient
+applied to v: for f(v) = g(v v^H), df/d(conj v) = grad g(v v^H) v.  SR-GD's
+pair term is the same weighted sum over its link's Gram.
 
 Objectives are optimized unclamped; the [.]^+ floor applies only to
 reported secrecy rates (clamping would kill gradients wherever the
@@ -43,15 +47,16 @@ import numpy as np
 
 from .metrics import (
     _complex_noise,
+    _lifted_eval,
     _link_pair_setup,
     _mc_exponentials,
     _mc_factors,
-    _pair_quadforms,
-    _pairwise,
+    _pair_traces,
     _stacked_noise,
     QuadFormCache,
     asr,  # not called here; tracing patches smsec.optim.asr, so the name stays
     log2sumexp2,
+    relaxed_asr,  # max_asr_sca calls it through this namespace, which tracing patches
 )
 from .model import (
     ANProjector,
@@ -198,6 +203,8 @@ def _check_start(v0: np.ndarray, n_tx: int) -> np.ndarray:
     v0 = np.asarray(v0, dtype=complex)
     if len(v0) != n_tx:
         raise ValueError(f"start vector must have length {n_tx}")
+    if not np.all(np.isfinite(v0)):
+        raise ValueError("start vector must be finite (it has a nan or infinite entry)")
     power = float(np.sum(np.abs(v0) ** 2))
     if power == 0.0:
         raise ValueError("start vector must be nonzero (the origin is stationary)")
@@ -220,34 +227,20 @@ def _asr_value_and_gradient(
 ) -> tuple[float, np.ndarray]:
     """Unclamped approximate secrecy rate at v and its conjugate gradient.
 
-    One pass of :func:`_weighted_pair_apply` per link gives both the
-    per-symbol log terms and the gradient term, so the value equals
-    ``asr(cache, v, clamp=False)`` bit for bit (same quadratic forms, same
-    scaling, same max-shifted row sums) and the pair is evaluated in
-    O(K N_t^2 + K^2 N_t) with K = M*N_t.  Both links' gradient terms are
-    softmax-weighted sums of the pair matrices applied to v, taken through
-    the links' K x K Gram matrices.
+    Forms W = v v^H once and takes one :func:`_lifted_eval` pass per link,
+    so the value equals ``asr(cache, v, clamp=False)`` bit for bit (the
+    same lifted terms at the same W).  The gradient is the lifted gradient
+    applied to v: for f(v) = g(v v^H), df/d(conj v) = grad g(v v^H) v with
+    grad g the Hermitian gradient of the trace pairing, here the two links'
+    :func:`_lifted_grad` from the same softmax weights.  The pair costs
+    O(K N_t^2 + K^2 N_t) with K = M*N_t.
     """
     v = np.asarray(v, dtype=complex)
-    inner_b, term_b = _weighted_pair_apply(cache, "bob", v)
-    inner_e, term_e = _weighted_pair_apply(cache, "eve", v)
-    grad = (cache.p1 / (2 * _LN2 * cache.n_signals)) * (term_b - term_e)
+    W = np.outer(v, v.conj())
+    inner_b, P_b = _lifted_eval(cache, "bob", W)
+    inner_e, P_e = _lifted_eval(cache, "eve", W)
+    grad = (_lifted_grad(cache, "eve", P_e) - _lifted_grad(cache, "bob", P_b)) @ v
     return float(np.mean(inner_e - inner_b)), grad
-
-
-def _row_log2sumexp2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row log2 sum_k' 2^x_kk' (shape (K,)) and the row-softmax weights.
-
-    One max-shifted exponential pass: with m the row maxima and
-    e = 2^(x - m), the log terms are log2(rowsum e) + m and the weights
-    e / rowsum e, which are the derivatives of each log term with respect
-    to its row of x (up to the factor ln 2).
-    """
-    m = np.max(x, axis=1, keepdims=True)
-    e = np.exp2(x - m)
-    sums = e.sum(axis=1)
-    e /= sums[:, None]
-    return np.log2(sums) + m[:, 0], e
 
 
 def _off_diagonal(P: np.ndarray) -> np.ndarray:
@@ -262,40 +255,26 @@ def _off_diagonal(P: np.ndarray) -> np.ndarray:
     return P
 
 
-def _pair_apply(S: np.ndarray, Y: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """sum_{kk'} P_kk' conj(s_k - s_k') * (y_k - y_k') for a K x K weight P, shape (N_t,).
+def _weighted_pair_sum(gram: np.ndarray, S: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """sum_{kk'} P_kk' A_kk' (N_t x N_t) for a K x K weight matrix P.
 
-    ``S`` and ``Y`` are N_t x K with columns s_k and y_k.  Expanding the
-    pairs gives
-    (conj(S) * Y) (r + c) - rowsum(conj(S) * (Y P^T)) - rowsum(Y * (conj(S) P^T))
-    with r, c the row and column sums of P.
+    A_kk' = R * conj(d d^H) for R = ``gram`` and the differences
+    d = s_k - s_k' of the columns of ``S``.  sum P_kk' d d^H is S L S^H
+    with L = diag(r + c) - P - P^T (r, c the row and column sums of P), so
+    the sum is R * conj(S L S^H).  Every pair gradient comes from it: the
+    lifted ones (:func:`_lifted_grad`, :func:`grad_f1`), ASR-GD's through
+    :func:`_lifted_grad`, and SR-GD's pair term with R = F^H F.
     """
-    Sc = S.conj()
-    return (
-        (Sc * Y) @ (P.sum(axis=1) + P.sum(axis=0))
-        - np.sum(Sc * (Y @ P.T), axis=1)
-        - np.sum(Y * (Sc @ P.T), axis=1)
-    )
+    P = _off_diagonal(P)
+    L = np.diag(P.sum(axis=1) + P.sum(axis=0)) - P - P.T
+    return gram * (S @ L @ S.conj().T).conj()
 
 
-def _weighted_pair_apply(
-    cache: QuadFormCache, side: str, v: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-symbol log terms of the ``side`` link at v and their weighted pair sum.
-
-    The log terms are log2 sum_k' exp(-p1 v^H A_kk' v / 2), shape (K,), as
-    in ``smsec.metrics.asr``; the sum is sum_{kk'} P_kk' A_kk' v with P
-    their row softmax.  With X = diag(v) S and Y = R X,
-    (A_kk' v)_i = conj(d_i) (Y_ik - Y_ik') for d = s_k - s_k', so the sum
-    is :func:`_pair_apply` of (S, Y, P).  Both come from one quadratic-form
-    and one exponential pass.
-    """
-    S = cache.signals
-    X = v[:, None] * S
-    Y = cache.gram(side) @ X
-    q = _pairwise(X.conj().T @ Y)
-    inner, P = _row_log2sumexp2(-0.5 * cache.p1 * q / _LN2)
-    return inner, _pair_apply(S, Y, _off_diagonal(P))
+def _lifted_grad(cache: QuadFormCache, side: str, P: np.ndarray) -> np.ndarray:
+    """(1/K) sum_k of the lifted log-sum-exp gradient for softmax weights P (Hermitian)."""
+    g = _weighted_pair_sum(cache.gram(side), cache.signals, P)
+    g = -cache.p1 / (2 * _LN2 * cache.n_signals) * g
+    return (g + g.conj().T) / 2
 
 
 def _ascend(value_and_grad, v0: np.ndarray, n_tx: int, params: GDParams) -> OptTrace:
@@ -348,7 +327,7 @@ def _ascend(value_and_grad, v0: np.ndarray, n_tx: int, params: GDParams) -> OptT
 def max_asr_gd(cache: QuadFormCache, v0: np.ndarray, params: GDParams) -> OptTrace:
     """Gradient ascent on the approximate secrecy rate (unclamped).
 
-    Each candidate costs one quadratic-form and softmax pass per link
+    Each candidate costs one lifted pass per link at W = v v^H
     (:func:`_asr_value_and_gradient`), which gives its value and gradient.
     Accepted-iterate objectives are non-decreasing by construction; the
     final vector satisfies tr(v v^H) <= N_t.
@@ -360,14 +339,16 @@ def max_asr_gd(cache: QuadFormCache, v0: np.ndarray, params: GDParams) -> OptTra
 class _FrozenLink:
     """One link of :class:`_SampledSecrecyObjective`: whitened channel and frozen noise.
 
-    ``F`` is the whitened channel (N x N_t), ``noise`` the samples w_s as
-    rows (S x N), ``stacked`` the same samples as the real (2N x S) array
-    the factored kernel takes, and ``z`` the rows z_s = F^H w_s as the real
-    S x 2N_t array [Re z, Im z], so the gradient contracts it with one real
-    matrix product.
+    ``F`` is the whitened channel (N x N_t) and ``gram`` its Gram F^H F, the
+    link's C^H Q^{-1} C; ``noise`` the samples w_s as rows (S x N),
+    ``stacked`` the same samples as the real (2N x S) array the factored
+    kernel takes, and ``z`` the rows z_s = F^H w_s as the real S x 2N_t
+    array [Re z, Im z], so the gradient contracts it with one real matrix
+    product.
     """
 
     F: np.ndarray
+    gram: np.ndarray
     noise: np.ndarray
     stacked: np.ndarray
     z: np.ndarray
@@ -376,7 +357,13 @@ class _FrozenLink:
     def draw(cls, F: np.ndarray, rng: np.random.Generator, n_samp: int) -> "_FrozenLink":
         noise = _complex_noise(rng, n_samp, F.shape[0])
         z = noise @ F.conj()
-        return cls(F=F, noise=noise, stacked=_stacked_noise(noise), z=np.hstack([z.real, z.imag]))
+        return cls(
+            F=F,
+            gram=F.conj().T @ F,
+            noise=noise,
+            stacked=_stacked_noise(noise),
+            z=np.hstack([z.real, z.imag]),
+        )
 
 
 def _direct_pair_weights(
@@ -455,14 +442,15 @@ class _SampledSecrecyObjective:
         # alpha = sqrt(p1) F diag(d) v has
         # dE/d(conj v) = -sqrt(p1) conj(d) * (F^H alpha + z_s) elementwise.
         # Weighting by the softmax w of E and summing over the pairs, the
-        # F^H alpha part is _pair_apply with Y = F^H T and P = sum_s w, and
-        # the z_s part is sum_s z_s * (conj(S) (r_s - c_s)) with r, c the row
-        # and column sums of w, taken as rowsum(conj(S) * M^T) with
-        # M = (r - c) z (K x N_t).  The diagonal (d = 0) is dropped before
-        # summing: it adds nothing, but at high SNR its weight is ~1 and would
-        # swamp the off-diagonal terms.  P and r - c come from the factored
-        # kernel (O(K S) exponentials) unless a sample's spread exceeds its
-        # limit, and then from the direct one.
+        # F^H alpha part is sqrt(p1) (sum_ab P_ab A_ab) v with P = sum_s w and
+        # A_ab the pair matrices of the link's Gram F^H F: _weighted_pair_sum
+        # applied to v.  The z_s part is sum_s z_s * (conj(S) (r_s - c_s))
+        # with r, c the row and column sums of w, taken as
+        # rowsum(conj(S) * M^T) with M = (r - c) z (K x N_t).  The diagonal
+        # (d = 0) is dropped before summing: it adds nothing, but at high SNR
+        # its weight is ~1 and would swamp the off-diagonal terms.  P and
+        # r - c come from the factored kernel (O(K S) exponentials) unless a
+        # sample's spread exceeds its limit, and then from the direct one.
         S = self.signals
         K = S.shape[1]
         n_samp = link.noise.shape[0]
@@ -474,7 +462,7 @@ class _SampledSecrecyObjective:
             inner, e, X, Xe = factors
             P, r_minus_c = _factored_pair_weights(e, X, Xe)
         mi = np.log2(K) - np.mean(inner)
-        term_u = _pair_apply(S, link.F.conj().T @ T, P)
+        term_u = np.sqrt(self.p1) * _weighted_pair_sum(link.gram, S, P) @ v
         M = r_minus_c @ link.z
         n_tx = S.shape[0]
         term_z = np.sum(S.conj() * (M[:, :n_tx] + 1j * M[:, n_tx:]).T, axis=1)
@@ -508,50 +496,6 @@ def max_sr_gd(
 # ---------------------------------------------------------------------------
 
 
-def _pair_traces(cache: QuadFormCache, side: str, W: np.ndarray) -> np.ndarray:
-    """Real traces tr(W A_{kk'}) for every pair, shape (K, K).
-
-    tr(W A_{kk'}) = d^H (R * W^T) d with d = s_k - s_k', so all K^2 traces
-    are pairwise distances under one K x K Gram matrix S^H (R * W^T) S.
-    """
-    S = cache.signals
-    return _pairwise(S.conj().T @ (cache.gram(side) * W.T) @ S)
-
-
-def _lifted_eval(
-    cache: QuadFormCache, side: str, W: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-symbol lifted log terms on the ``side`` link at W and their weights.
-
-    The log terms are log2 sum_k' exp(-p1 tr(W A_{kk'}) / 2), shape (K,); the
-    weights are their row softmax, from which :func:`_lifted_grad` builds the
-    gradient.  Both come from one pass of :func:`_row_log2sumexp2`, so the
-    value and the gradient of a point cost one ``_pair_traces`` and one
-    exponential.
-    """
-    return _row_log2sumexp2(-0.5 * cache.p1 * _pair_traces(cache, side, W) / _LN2)
-
-
-def _weighted_pair_sum(cache: QuadFormCache, side: str, P: np.ndarray) -> np.ndarray:
-    """sum_{kk'} P_kk' A_kk' (N_t x N_t) for a K x K weight matrix P.
-
-    sum P_kk' d d^H over the differences d = s_k - s_k' is S L S^H with
-    L = diag(r + c) - P - P^T (r, c the row and column sums of P), so the
-    sum is R * conj(S L S^H).
-    """
-    P = _off_diagonal(P)
-    S = cache.signals
-    L = np.diag(P.sum(axis=1) + P.sum(axis=0)) - P - P.T
-    return cache.gram(side) * (S @ L @ S.conj().T).conj()
-
-
-def _lifted_grad(cache: QuadFormCache, side: str, P: np.ndarray) -> np.ndarray:
-    """(1/K) sum_k of the lifted log-sum-exp gradient for softmax weights P (Hermitian)."""
-    g = _weighted_pair_sum(cache, side, P)
-    g = -cache.p1 / (2 * _LN2 * cache.n_signals) * g
-    return (g + g.conj().T) / 2
-
-
 def f1(cache: QuadFormCache, W: np.ndarray, n: int, m: int) -> float:
     """Eavesdropper-side lifted log-sum-exp term for transmitted pair (n, m).
 
@@ -577,7 +521,7 @@ def grad_f1(cache: QuadFormCache, W0: np.ndarray, n: int, m: int) -> np.ndarray:
     k = cache.pair_index(n, m)
     P = np.zeros((cache.n_signals, cache.n_signals))
     P[k] = _lifted_eval(cache, "eve", W0)[1][k]
-    return -cache.p1 / (2 * _LN2) * _weighted_pair_sum(cache, "eve", P)
+    return -cache.p1 / (2 * _LN2) * _weighted_pair_sum(cache.gram("eve"), cache.signals, P)
 
 
 def project_spectrahedron(W: np.ndarray, budget: float) -> np.ndarray:
@@ -611,17 +555,6 @@ def _project_capped_simplex(lam: np.ndarray, budget: float) -> np.ndarray:
     rho = int(np.max(np.nonzero(valid)[0]))
     tau = (css[rho] - budget) / (rho + 1)
     return np.clip(lam - tau, 0.0, None)
-
-
-def relaxed_asr(cache: QuadFormCache, W: np.ndarray) -> float:
-    """Lifted approximate secrecy rate at a Hermitian W (unclamped).
-
-    Averages the per-pair difference of the eavesdropper and legitimate
-    lifted log-sum-exp terms; at W = v v^H this equals ``asr(cache, v)``.
-    """
-    inner_e, _ = _lifted_eval(cache, "eve", W)
-    inner_b, _ = _lifted_eval(cache, "bob", W)
-    return float(np.mean(inner_e - inner_b))
 
 
 def _check_feasible(W: np.ndarray, budget: float, slack: float = 1e-6) -> None:
@@ -863,8 +796,9 @@ def power_sweep_rounding(
     )
     best_vec, best_val = None, -np.inf
     for direction in [lead_dir] + directions:
-        qb = _pair_quadforms(cache, "bob", direction)
-        qe = _pair_quadforms(cache, "eve", direction)
+        D = np.outer(direction, direction.conj())
+        qb = _pair_traces(cache, "bob", D)
+        qe = _pair_traces(cache, "eve", D)
         xb = -0.5 * cache.p1 * np.multiply.outer(t_grid, qb) / _LN2
         xe = -0.5 * cache.p1 * np.multiply.outer(t_grid, qe) / _LN2
         values = np.mean(log2sumexp2(xe, axis=2) - log2sumexp2(xb, axis=2), axis=1)

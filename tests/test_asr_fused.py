@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from smsec import GDParams, asr, asr_gradient, default_precoder, max_asr_gd
-from smsec.optim import _ascend, _asr_value_and_gradient
+from smsec.optim import _ascend, _asr_value_and_gradient, relaxed_asr
 
 from conftest import make_instance
 
@@ -47,6 +47,7 @@ def test_fused_pass_equals_separate_evaluations(n_tx, M, snr_db, n_b, n_e):
     assert np.isfinite(value)
     assert np.all(np.isfinite(grad))
     assert value == asr(cache, v, clamp=False)
+    assert asr(cache, v, clamp=False) == relaxed_asr(cache, np.outer(v, v.conj()))
     np.testing.assert_array_equal(grad, asr_gradient(cache, v))
 
 

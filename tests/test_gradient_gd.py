@@ -87,6 +87,23 @@ def test_gd_rejects_overpowered_start(instance):
         max_asr_gd(cache, 10.0 * np.ones(4), GDParams())
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
+@pytest.mark.parametrize("method", ["max_asr_gd", "max_sr_gd", "max_asr_sca"])
+def test_optimizers_reject_non_finite_start(instance, method, bad):
+    channels, proj, powers, codebook, cache = instance
+    v0 = np.ones(4, dtype=complex)
+    v0[0] = bad
+    run = {
+        "max_asr_gd": lambda: max_asr_gd(cache, v0, GDParams()),
+        "max_sr_gd": lambda: max_sr_gd(
+            channels, proj, powers, codebook, v0, GDParams(), 16, np.random.default_rng(0)
+        ),
+        "max_asr_sca": lambda: S.max_asr_sca(cache, v0, S.SCAParams()),
+    }[method]
+    with pytest.raises(ValueError, match="finite"):
+        run()
+
+
 def test_gd_params_validation():
     with pytest.raises(ValueError):
         GDParams(step_init=0.5, step_min=0.5)
