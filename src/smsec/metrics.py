@@ -32,7 +32,7 @@ is a difference of entries of one K x K Gram matrix,
     v^H A_{kk'} v = G_kk + G_k'k' - 2 Re G_kk',  G = X^H R X,
 
 so all K^2 quadratic forms cost O(K N_t^2 + K^2 N_t) and
-:class:`QuadFormCache` holds only S and the two N_t x N_t Grams R.
+:class:`QuadFormCache` holds only S (and S^H) and the two N_t x N_t Grams R.
 
 Every closed-form quantity is taken in the lifted form.  Under W = v v^H
 each quadratic form is a trace, v^H A_{kk'} v = tr(W A_{kk'}), and G above
@@ -45,7 +45,14 @@ is S^H (R * W^T) S, so one kernel serves vectors and lifted matrices alike:
 ``_weighted_pair_sum`` there.
 
 The closed-form log-sum-exps are evaluated with max-shifting so that high
-signal-to-noise ratios do not underflow.
+signal-to-noise ratios do not underflow.  The rounding power sweep in
+``smsec.optim`` evaluates the rows x_kk' = c (t q_kk') / ln 2 of one
+direction at many powers t > 0, with q its pair traces and c = -p1/2 <= 0.
+It takes each row maximum once per direction, as c (t min_k' q_kk') / ln 2,
+instead of once per power, and that is exact: every rounded operation
+(t q, then c times it, then the division by ln 2) is monotone in its
+operand, so the rounded x_kk' never increases with q_kk' and the row's
+largest x is the one at its smallest q, bit for bit.
 
 The Monte-Carlo estimate rests on the same pairwise structure.  With
 F = Q^{-1/2} C the whitened channel, T = sqrt(p1) F diag(v) S (N x K) the
@@ -85,7 +92,7 @@ error of the paired per-sample differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -153,7 +160,9 @@ class QuadFormCache:
     builds one on demand for checks.  ``noise_dim_b``/``noise_dim_e`` bound
     the rank of each Gram (the link's min(N, N_t)); ``None`` falls back to
     ``n_tx``, which is always valid.  The arrays take O(N_t K + N_t^2)
-    memory.  Immutable after construction; safe to share across threads.
+    memory.  ``signals_h`` is S^H, derived at construction so that the pair
+    kernels do not conjugate S on every call.  Immutable after construction;
+    safe to share across threads.
     """
 
     signals: np.ndarray
@@ -164,6 +173,10 @@ class QuadFormCache:
     M: int
     noise_dim_b: int | None = None
     noise_dim_e: int | None = None
+    signals_h: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "signals_h", self.signals.conj().T)
 
     @property
     def n_signals(self) -> int:
@@ -271,13 +284,17 @@ def build_cache(
 
 
 def _pairwise(G: np.ndarray) -> np.ndarray:
-    """Re(G_aa + G_bb - G_ab - G_ba) for every (a, b), shape (K, K).
+    """Re(G_aa + G_bb - G_ab - G_ba) for every (a, b), shape (..., K, K).
 
     For G = S^H M S this is Re d^H M d with d = s_a - s_b: the pairwise
-    distances that M induces between the columns of S.
+    distances that M induces between the columns of S.  A leading stack axis
+    is carried through.
     """
-    g = np.real(np.diagonal(G))
-    return g[:, None] + g[None, :] - np.real(G + G.T)
+    g = G.diagonal(axis1=-2, axis2=-1).real
+    out = g[..., :, None] + g[..., None, :]
+    real = G.real
+    out -= real + real.swapaxes(-1, -2)
+    return out
 
 
 def _row_log2sumexp2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -286,23 +303,29 @@ def _row_log2sumexp2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     One max-shifted exponential pass: with m the row maxima and
     e = 2^(x - m), the log terms are log2(rowsum e) + m and the weights
     e / rowsum e, which are the derivatives of each log term with respect
-    to its row of x (up to the factor ln 2).
+    to its row of x (up to the factor ln 2).  The weights are computed in
+    place: ``x`` is overwritten and returned as the second value.
     """
-    m = np.max(x, axis=1, keepdims=True)
-    e = np.exp2(x - m)
+    m = x.max(axis=1)
+    x -= m[:, None]
+    e = np.exp2(x, out=x)
     sums = e.sum(axis=1)
     e /= sums[:, None]
-    return np.log2(sums) + m[:, 0], e
+    logs = np.log2(sums, out=sums)
+    logs += m
+    return logs, e
 
 
 def _pair_traces(cache: QuadFormCache, side: str, W: np.ndarray) -> np.ndarray:
-    """Real traces tr(W A_{kk'}) for every pair, shape (K, K).
+    """Real traces tr(W A_{kk'}) for every pair, shape (..., K, K).
 
     tr(W A_{kk'}) = d^H (R * W^T) d with d = s_k - s_k', so all K^2 traces
-    are pairwise distances under one K x K Gram matrix S^H (R * W^T) S.
+    are pairwise distances under one K x K Gram matrix S^H (R * W^T) S.  A
+    stack of matrices W (shape (B, N_t, N_t)) gives a stack of traces, each
+    equal to the traces of its own matrix.
     """
-    S = cache.signals
-    return _pairwise(S.conj().T @ (cache.gram(side) * W.T) @ S)
+    lifted = cache.gram(side) * W.swapaxes(-1, -2)
+    return _pairwise(cache.signals_h @ lifted @ cache.signals)
 
 
 def _lifted_eval(
@@ -316,7 +339,10 @@ def _lifted_eval(
     so the value and the gradient of a point cost one ``_pair_traces`` and
     one exponential.
     """
-    return _row_log2sumexp2(-0.5 * cache.p1 * _pair_traces(cache, side, W) / _LN2)
+    x = _pair_traces(cache, side, W)
+    x *= -0.5 * cache.p1
+    x /= _LN2
+    return _row_log2sumexp2(x)
 
 
 def relaxed_asr(cache: QuadFormCache, W: np.ndarray) -> float:

@@ -55,7 +55,6 @@ from .metrics import (
     _stacked_noise,
     QuadFormCache,
     asr,  # not called here; tracing patches smsec.optim.asr, so the name stays
-    log2sumexp2,
     relaxed_asr,  # max_asr_sca calls it through this namespace, which tracing patches
 )
 from .model import (
@@ -95,6 +94,13 @@ _STEP_GROWTH = 1.25
 
 # Transmit powers N_t/n, 2 N_t/n, ..., N_t that rounding sweeps per direction.
 _POWER_GRID = 64
+
+# Rounding directions scored together.  The sweep's largest temporary is
+# (block, powers, K, K), so this also sets its memory.  One sweep of 101
+# directions at K = 8 peaks at 0.18 MiB scored one at a time, 0.26 MiB in
+# blocks of 4 and 0.44 MiB in blocks of 8 (tracemalloc); at block 4 the
+# configs/benchmark.cfg study's own peak does not rise, as other stages set it.
+_SWEEP_BLOCK = 4
 
 
 def _is_integer(x) -> bool:
@@ -168,7 +174,10 @@ class OptTrace:
     ``inner_steps`` is the inner work: for SCA the spectrahedron projections
     summed over all subproblems, 0 for the gradient methods.  ``wall_s`` is
     the run's wall-clock time in seconds (``time.perf_counter``), 0.0 for a
-    trace not produced by an optimizer.
+    trace not produced by an optimizer.  ``evaluations`` counts the
+    candidates a gradient method evaluated, accepted or not, without the
+    start point, so ``iterations / evaluations`` is its accept ratio; it is
+    0 for SCA, whose inner work ``inner_steps`` counts.
     """
 
     objective_history: list[float]
@@ -178,6 +187,7 @@ class OptTrace:
     stop_reason: str | None = None
     inner_steps: int = 0
     wall_s: float = 0.0
+    evaluations: int = 0
 
 
 def default_precoder(n_tx: int) -> np.ndarray:
@@ -243,38 +253,40 @@ def _asr_value_and_gradient(
     return float(np.mean(inner_e - inner_b)), grad
 
 
-def _off_diagonal(P: np.ndarray) -> np.ndarray:
-    """P with a zero diagonal.
-
-    Pairs (k, k) have A_kk = 0, so dropping their weight changes no sum over
-    pairs; it spares the Gram identities a cancellation of two O(1) terms
-    when the softmax weight sits on the diagonal (high SNR).
-    """
-    P = P.copy()
-    np.fill_diagonal(P, 0.0)
-    return P
-
-
-def _weighted_pair_sum(gram: np.ndarray, S: np.ndarray, P: np.ndarray) -> np.ndarray:
+def _weighted_pair_sum(
+    gram: np.ndarray, S: np.ndarray, S_h: np.ndarray, P: np.ndarray
+) -> np.ndarray:
     """sum_{kk'} P_kk' A_kk' (N_t x N_t) for a K x K weight matrix P.
 
     A_kk' = R * conj(d d^H) for R = ``gram`` and the differences
-    d = s_k - s_k' of the columns of ``S``.  sum P_kk' d d^H is S L S^H
-    with L = diag(r + c) - P - P^T (r, c the row and column sums of P), so
-    the sum is R * conj(S L S^H).  Every pair gradient comes from it: the
-    lifted ones (:func:`_lifted_grad`, :func:`grad_f1`), ASR-GD's through
-    :func:`_lifted_grad`, and SR-GD's pair term with R = F^H F.
+    d = s_k - s_k' of the columns of ``S`` (``S_h`` is S^H).  sum P_kk' d d^H
+    is S L S^H with L = diag(r + c) - P - P^T (r, c the row and column sums
+    of P), so the sum is R * conj(S L S^H).  The diagonal of P is dropped
+    first: pairs (k, k) have A_kk = 0, so their weight changes no sum, and
+    dropping it spares the identities a cancellation of two O(1) terms when
+    the softmax weight sits on the diagonal (high SNR).  Every pair gradient
+    comes from this sum: the lifted ones (:func:`_lifted_grad`,
+    :func:`grad_f1`), ASR-GD's through :func:`_lifted_grad`, and SR-GD's
+    pair term with R = F^H F.
     """
-    P = _off_diagonal(P)
-    L = np.diag(P.sum(axis=1) + P.sum(axis=0)) - P - P.T
-    return gram * (S @ L @ S.conj().T).conj()
+    K = P.shape[0]
+    P = P.copy()
+    P.reshape(-1)[:: K + 1] = 0.0
+    L = np.diag(P.sum(axis=1) + P.sum(axis=0))
+    L -= P
+    L -= P.T
+    out = S @ L @ S_h
+    np.conjugate(out, out=out)
+    return np.multiply(gram, out, out=out)
 
 
 def _lifted_grad(cache: QuadFormCache, side: str, P: np.ndarray) -> np.ndarray:
     """(1/K) sum_k of the lifted log-sum-exp gradient for softmax weights P (Hermitian)."""
-    g = _weighted_pair_sum(cache.gram(side), cache.signals, P)
-    g = -cache.p1 / (2 * _LN2 * cache.n_signals) * g
-    return (g + g.conj().T) / 2
+    g = _weighted_pair_sum(cache.gram(side), cache.signals, cache.signals_h, P)
+    np.multiply(-cache.p1 / (2 * _LN2 * cache.n_signals), g, out=g)
+    np.add(g, g.conj().T, out=g)
+    g /= 2
+    return g
 
 
 def _ascend(value_and_grad, v0: np.ndarray, n_tx: int, params: GDParams) -> OptTrace:
@@ -289,14 +301,14 @@ def _ascend(value_and_grad, v0: np.ndarray, n_tx: int, params: GDParams) -> OptT
     terminates once progress stalls.  The step size only ever shrinks; the
     run stops when it falls below ``step_min`` (converged, stop reason
     ``"step_floor"``) or after ``max_iters`` accepted updates (``"max_iters"``).
-    ``iterations`` counts accepted updates.
+    ``iterations`` counts accepted updates and ``evaluations`` the candidates.
     """
     start = perf_counter()
     v = _check_start(v0, n_tx)
     mu = params.step_init
     value, grad = value_and_grad(v)
     history = [value]
-    iterations = 0
+    iterations = evaluations = 0
     while True:
         if mu < params.step_min:
             stop_reason = "step_floor"
@@ -306,6 +318,7 @@ def _ascend(value_and_grad, v0: np.ndarray, n_tx: int, params: GDParams) -> OptT
             break
         candidate = _renormalize(v + mu * grad, n_tx)
         value, candidate_grad = value_and_grad(candidate)
+        evaluations += 1
         if value >= history[-1]:
             v, grad = candidate, candidate_grad
             history.append(value)
@@ -321,6 +334,7 @@ def _ascend(value_and_grad, v0: np.ndarray, n_tx: int, params: GDParams) -> OptT
         final_vector=v,
         stop_reason=stop_reason,
         wall_s=perf_counter() - start,
+        evaluations=evaluations,
     )
 
 
@@ -424,6 +438,7 @@ class _SampledSecrecyObjective:
         if n_samp < 1:
             raise ValueError("n_samp must be >= 1")
         self.signals = codebook.signal_matrix()
+        self.signals_h = self.signals.conj().T
         self.p1 = powers.p1
         wh_b, wh_e, rng_b, rng_e = _link_pair_setup(channels, proj, powers, rng)
         self.bob = _FrozenLink.draw(wh_b @ channels.H, rng_b, n_samp)
@@ -462,7 +477,7 @@ class _SampledSecrecyObjective:
             inner, e, X, Xe = factors
             P, r_minus_c = _factored_pair_weights(e, X, Xe)
         mi = np.log2(K) - np.mean(inner)
-        term_u = np.sqrt(self.p1) * _weighted_pair_sum(link.gram, S, P) @ v
+        term_u = np.sqrt(self.p1) * _weighted_pair_sum(link.gram, S, self.signals_h, P) @ v
         M = r_minus_c @ link.z
         n_tx = S.shape[0]
         term_z = np.sum(S.conj() * (M[:, :n_tx] + 1j * M[:, n_tx:]).T, axis=1)
@@ -521,7 +536,8 @@ def grad_f1(cache: QuadFormCache, W0: np.ndarray, n: int, m: int) -> np.ndarray:
     k = cache.pair_index(n, m)
     P = np.zeros((cache.n_signals, cache.n_signals))
     P[k] = _lifted_eval(cache, "eve", W0)[1][k]
-    return -cache.p1 / (2 * _LN2) * _weighted_pair_sum(cache.gram("eve"), cache.signals, P)
+    sums = _weighted_pair_sum(cache.gram("eve"), cache.signals, cache.signals_h, P)
+    return -cache.p1 / (2 * _LN2) * sums
 
 
 def project_spectrahedron(W: np.ndarray, budget: float) -> np.ndarray:
@@ -530,20 +546,43 @@ def project_spectrahedron(W: np.ndarray, budget: float) -> np.ndarray:
     Eigendecomposes the symmetrized input and projects the spectrum onto
     {lam >= 0, sum(lam) <= budget}: clip negatives, and if the sum still
     exceeds the budget apply the sorted-threshold uniform shift (simplex
-    projection) before re-clipping.
+    projection) before re-clipping.  Raises ``ValueError`` unless the budget
+    is positive and finite and W is finite and Hermitian to 1e-10 relative.
     """
-    if budget <= 0:
-        raise ValueError("budget must be positive")
-    drift = np.linalg.norm(W - W.conj().T)
-    if drift > 1e-10 * max(1.0, np.linalg.norm(W)):
-        raise ValueError("input is not Hermitian (drift exceeds 1e-10)")
-    S = (W + W.conj().T) / 2
+    if not 0 < budget < math.inf:
+        raise ValueError(f"budget must be positive and finite, got {budget!r}")
+    S = _hermitian_part(W, 1e-10, "input is not Hermitian (drift exceeds 1e-10)")
     lam, U = np.linalg.eigh(S)
-    clipped = np.clip(lam, 0.0, None)
+    clipped = np.maximum(lam, 0.0)
     if clipped.sum() > budget:
         clipped = _project_capped_simplex(lam, budget)
-    out = (U * clipped) @ U.conj().T
-    return (out + out.conj().T) / 2
+    U_h = np.conjugate(U).T  # a copy even for real U, which is scaled in place next
+    out = np.multiply(U, clipped, out=U) @ U_h
+    np.add(out, out.conj().T, out=out)
+    out /= 2
+    return out
+
+
+def _hermitian_part(W: np.ndarray, rel_tol: float, message: str) -> np.ndarray:
+    """(W + W^H) / 2, after checking that W is finite and nearly Hermitian.
+
+    Raises ``ValueError`` with ``message`` when ||W - W^H||_F exceeds
+    ``rel_tol`` * max(1, ||W||_F), and a finiteness error for a nan or
+    infinite entry.  Both checks use squared norms and are written so that
+    nan fails them; the entries are scanned for non-finite values only when
+    ||W||_F^2 is itself not finite, so finite input costs no extra pass.
+    """
+    W = np.asarray(W, dtype=np.result_type(W, 0.5))  # the halving below is in place
+    size = np.vdot(W, W).real
+    if not size < math.inf and not np.all(np.isfinite(W)):
+        raise ValueError("matrix must be finite (it has a nan or infinite entry)")
+    W_h = W.conj().T
+    drift = W - W_h
+    if not np.vdot(drift, drift).real <= rel_tol * rel_tol * max(1.0, size):
+        raise ValueError(message)
+    out = np.add(W, W_h, out=drift)
+    out /= 2
+    return out
 
 
 def _project_capped_simplex(lam: np.ndarray, budget: float) -> np.ndarray:
@@ -558,11 +597,13 @@ def _project_capped_simplex(lam: np.ndarray, budget: float) -> np.ndarray:
 
 
 def _check_feasible(W: np.ndarray, budget: float, slack: float = 1e-6) -> None:
-    drift = np.linalg.norm(W - W.conj().T)
-    if drift > 1e-8 * max(1.0, np.linalg.norm(W)):
-        raise ValueError("W must be Hermitian")
-    eigvals = np.linalg.eigvalsh((W + W.conj().T) / 2)
-    if eigvals[0] < -slack or np.real(np.trace(W)) > budget * (1 + 1e-9) + slack:
+    """Raise ``ValueError`` unless W is finite, Hermitian and in the spectrahedron.
+
+    Written so that nan fails every check.
+    """
+    eigvals = np.linalg.eigvalsh(_hermitian_part(W, 1e-8, "W must be Hermitian"))
+    trace = np.real(np.trace(W))
+    if not (eigvals[0] >= -slack and trace <= budget * (1 + 1e-9) + slack):
         raise ValueError("W is outside the spectrahedron feasible set")
 
 
@@ -602,6 +643,7 @@ def solve_sca_subproblem(
     projections this call made is appended to it.
     """
     budget = float(cache.n_tx)
+    n_signals = cache.n_signals
     _check_feasible(W_prev, budget)
 
     # Constant linear part: the eavesdropper term's value and gradient at W_prev.
@@ -611,7 +653,7 @@ def solve_sca_subproblem(
 
     def evaluate(W: np.ndarray) -> tuple[float, np.ndarray]:
         bob_terms, bob_weights = _lifted_eval(cache, "bob", W)
-        value = lin_const + _trace_pairing(lin_grad, W) - float(np.mean(bob_terms))
+        value = lin_const + _trace_pairing(lin_grad, W) - float(bob_terms.sum() / n_signals)
         return value, bob_weights
 
     X = project_spectrahedron(W_prev, budget)
@@ -729,15 +771,18 @@ def _leading_direction(lam: np.ndarray, U: np.ndarray) -> np.ndarray:
 
 def _rounding_directions(
     W_star: np.ndarray, n_randomizations: int, rng: np.random.Generator
-) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Leading eigenvector plus unit-norm Gaussian directions shaped by W_star.
 
     Neither depends on the eigenbasis LAPACK happens to return, so the
     rounded precoder moves continuously with W_star: the Gaussian candidates
     are W_star^{1/2} z with the Hermitian square root, and the lead is
     :func:`_leading_direction`.  When W_star has no positive eigenvalue (the
-    relaxed solution collapsed to 0) the candidates are isotropic.  Also
-    returns the ascending spectrum.
+    relaxed solution collapsed to 0) the candidates are isotropic.  The
+    draws z are taken in one call, real and imaginary part of each in turn,
+    which is the stream of one ``standard_normal(n)`` pair per draw; a draw
+    whose direction is zero is dropped.  Returns the lead, the directions as
+    rows (at most ``n_randomizations`` x n) and the ascending spectrum.
     """
     lam, U = np.linalg.eigh((W_star + W_star.conj().T) / 2)
     n = W_star.shape[0]
@@ -746,19 +791,39 @@ def _rounding_directions(
         root = (U * np.sqrt(np.clip(lam, 0.0, None))) @ U.conj().T
     else:
         root = np.eye(n)
-    directions = []
-    for _ in range(n_randomizations):
-        z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
-        xi = root @ z
-        norm = np.linalg.norm(xi)
-        if norm > 0:
-            directions.append(xi / norm)
-    return lead, directions, lam
+    draws = rng.standard_normal((n_randomizations, 2, n))
+    z = (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2)
+    xi = (root @ z[:, :, None])[:, :, 0]
+    norms = np.array([np.linalg.norm(x) for x in xi])
+    keep = norms > 0
+    return lead, xi[keep] / norms[keep, None], lam
 
 
 def _is_rank_one(lam: np.ndarray, rank_tol: float) -> bool:
     """Whether an ascending spectrum is numerically rank one (and nonzero)."""
     return lam[-1] > 0 and (len(lam) == 1 or lam[-2] / lam[-1] <= rank_tol)
+
+
+def _swept_log_terms(traces: np.ndarray, t_grid: np.ndarray, scale: float) -> np.ndarray:
+    """``log2sumexp2(x, axis=-1)`` of x = scale * (t * q) / ln 2 for every power t.
+
+    ``traces`` holds the pair traces q of B directions (B, K, K), ``t_grid``
+    the T powers t > 0 and ``scale`` = -p1/2 <= 0; the result has shape
+    (B, T, K).  Each row maximum is scale * (t * min_k' q_kk') / ln 2, which
+    is exact because x never increases with q (see
+    :func:`power_sweep_rounding`).
+    """
+    x = np.einsum("t,bij->btij", t_grid, traces)  # t * q, with no broadcast buffer
+    x *= scale
+    x /= _LN2
+    top = t_grid[:, None] * traces.min(axis=-1)[:, None]
+    top *= scale
+    top /= _LN2
+    x -= top[..., None]
+    np.exp2(x, out=x)
+    out = np.log2(x.sum(axis=-1))
+    out += top
+    return out
 
 
 def power_sweep_rounding(
@@ -777,33 +842,43 @@ def power_sweep_rounding(
     W_star) is swept over ``_POWER_GRID`` equispaced powers tr(v v^H) in
     (0, N_t] plus tr(W_star) (quadratic forms scale linearly with the power,
     so a whole ray costs one extra log-sum-exp per grid point), and the best
-    (direction, power) pair by approximate secrecy rate is returned.  As the
-    grid includes the full budget, the result is never worse than
+    (direction, power) pair by approximate secrecy rate is returned: the
+    first direction whose best value is strictly the greatest, at its first
+    best power.  A direction with a nan value at any power is passed over.
+    As the grid includes the full budget, the result is never worse than
     full-power rounding over the same directions.  A numerically rank-one
     W_star (second eigenvalue at most ``rank_tol`` times the first) sweeps
     only the leading eigenvector; the Gaussian draws are still taken, so
     the generator advances the same way.  A W_star with no positive
     eigenvalue, which SCA reaches when the relaxed optimum collapses to 0,
     sweeps the normalised all-ones direction and isotropic draws instead.
+
+    Directions are scored ``_SWEEP_BLOCK`` at a time, with their pair traces
+    stacked.  Each log-sum-exp is shifted by its row maximum, and since the
+    exponent -p1 t q / 2 never increases with the pair trace q, that maximum
+    is taken once per direction from the smallest trace of each row instead
+    of once per power (:func:`_swept_log_terms`); it is the same maximum to
+    the bit, so the values equal those of one ``log2sumexp2`` per power.
     """
     n_tx = cache.n_tx
-    lead_dir, directions, lam = _rounding_directions(W_star, params.n_randomizations, rng)
-    if _is_rank_one(lam, params.rank_tol):
-        directions = []
+    lead, directions, lam = _rounding_directions(W_star, params.n_randomizations, rng)
+    candidates = lead[None]
+    if not _is_rank_one(lam, params.rank_tol):
+        candidates = np.concatenate([candidates, directions])
     trace_w = float(np.clip(np.real(np.trace(W_star)), n_tx / _POWER_GRID, n_tx))
     t_grid = np.unique(
         np.concatenate([np.linspace(n_tx / _POWER_GRID, n_tx, _POWER_GRID), [trace_w]])
     )
+    scale = -0.5 * cache.p1
     best_vec, best_val = None, -np.inf
-    for direction in [lead_dir] + directions:
-        D = np.outer(direction, direction.conj())
-        qb = _pair_traces(cache, "bob", D)
-        qe = _pair_traces(cache, "eve", D)
-        xb = -0.5 * cache.p1 * np.multiply.outer(t_grid, qb) / _LN2
-        xe = -0.5 * cache.p1 * np.multiply.outer(t_grid, qe) / _LN2
-        values = np.mean(log2sumexp2(xe, axis=2) - log2sumexp2(xb, axis=2), axis=1)
-        i = int(np.argmax(values))
-        if values[i] > best_val:
-            best_val = float(values[i])
-            best_vec = np.sqrt(t_grid[i]) * direction
+    for start in range(0, len(candidates), _SWEEP_BLOCK):
+        block = candidates[start : start + _SWEEP_BLOCK]
+        D = block[:, :, None] * block.conj()[:, None, :]
+        eve = _swept_log_terms(_pair_traces(cache, "eve", D), t_grid, scale)
+        bob = _swept_log_terms(_pair_traces(cache, "bob", D), t_grid, scale)
+        values = np.mean(eve - bob, axis=-1)
+        for direction, row, i in zip(block, values, values.argmax(axis=1)):
+            if row[i] > best_val:
+                best_val = float(row[i])
+                best_vec = np.sqrt(t_grid[i]) * direction
     return best_vec

@@ -3,7 +3,8 @@ import pytest
 
 import smsec as S
 from smsec import GDParams, asr, asr_gradient, max_asr_gd, max_sr_gd
-from smsec.optim import _SampledSecrecyObjective
+from smsec import optim
+from smsec.optim import _ascend, _SampledSecrecyObjective
 
 from conftest import make_instance
 
@@ -102,6 +103,51 @@ def test_optimizers_reject_non_finite_start(instance, method, bad):
     }[method]
     with pytest.raises(ValueError, match="finite"):
         run()
+
+
+def counting(fn, calls):
+    def spy(*args):
+        calls.append(args)
+        return fn(*args)
+
+    return spy
+
+
+def test_evaluations_count_the_candidates(monkeypatch):
+    # evaluations = value_and_grad calls minus the start point, accepted or not
+    channels, proj, powers, codebook, cache = make_instance(seed=2)
+    v0 = S.default_precoder(4)
+    calls = []
+    monkeypatch.setattr(
+        optim, "_asr_value_and_gradient", counting(optim._asr_value_and_gradient, calls)
+    )
+    monkeypatch.setattr(
+        _SampledSecrecyObjective,
+        "value_and_gradient",
+        counting(_SampledSecrecyObjective.value_and_gradient, calls),
+    )
+    runs = [
+        lambda: max_asr_gd(cache, v0, GDParams()),
+        lambda: max_asr_gd(cache, v0, GDParams(max_iters=2)),
+        lambda: max_sr_gd(
+            channels, proj, powers, codebook, v0, GDParams(), 64, np.random.default_rng(3)
+        ),
+        lambda: _ascend(counting(lambda v: (0.0, np.zeros(4)), calls), v0, 4, GDParams()),
+    ]
+    for run in runs:
+        calls.clear()
+        trace = run()
+        assert trace.evaluations == len(calls) - 1
+        assert 0 < trace.iterations <= trace.evaluations
+    # a flat objective accepts every candidate: accept ratio 1
+    assert trace.iterations == trace.evaluations
+    # at 20 dB this ascent rejects two candidates: accept ratio 12/14
+    *_, sharp = make_instance(seed=2, sigma2=0.01)
+    calls.clear()
+    trace = max_asr_gd(sharp, v0, GDParams())
+    assert (trace.iterations, trace.evaluations) == (12, 14) == (12, len(calls) - 1)
+    _, sca = S.max_asr_sca(cache, v0, S.SCAParams())
+    assert sca.evaluations == 0 and sca.inner_steps > 0
 
 
 def test_gd_params_validation():

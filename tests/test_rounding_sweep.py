@@ -1,0 +1,147 @@
+"""The blocked power sweep of ``power_sweep_rounding`` against the per-direction loop.
+
+``power_sweep_rounding`` scores its directions a block at a time and takes
+each log-sum-exp's row maximum once per direction instead of once per
+power.  Both changes are exact, so it must return the vector the
+per-direction loop below returns, to the bit, and leave the generator in
+the same state.  The reference draws each Gaussian direction with its own
+pair of ``standard_normal(n)`` calls and scores it with one
+``log2sumexp2`` per link over the whole power grid.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from smsec import SCAParams, power_sweep_rounding
+from smsec.metrics import _pair_traces, log2sumexp2
+from smsec.optim import _POWER_GRID, _is_rank_one, _leading_direction, _swept_log_terms
+
+from conftest import make_instance
+
+LN2 = math.log(2.0)
+
+SHAPES = [(4, 2), (8, 4), (16, 4)]
+SNRS_DB = [-40, 0, 15, 30]
+KINDS = ["rank-one", "full-rank", "zero"]
+DRAWS = [0, 1, 100]
+
+
+def reference_rounding_directions(W_star, n_randomizations, rng):
+    """Lead, Gaussian directions (a list) and ascending spectrum, one draw at a time."""
+    lam, U = np.linalg.eigh((W_star + W_star.conj().T) / 2)
+    n = W_star.shape[0]
+    lead = _leading_direction(lam, U)
+    if lam[-1] > 0:
+        root = (U * np.sqrt(np.clip(lam, 0.0, None))) @ U.conj().T
+    else:
+        root = np.eye(n)
+    directions = []
+    for _ in range(n_randomizations):
+        z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
+        xi = root @ z
+        norm = np.linalg.norm(xi)
+        if norm > 0:
+            directions.append(xi / norm)
+    return lead, directions, lam
+
+
+def reference_power_sweep_rounding(cache, W_star, params, rng):
+    """The power sweep scored one direction at a time, one row maximum per power."""
+    n_tx = cache.n_tx
+    lead_dir, directions, lam = reference_rounding_directions(
+        W_star, params.n_randomizations, rng
+    )
+    if _is_rank_one(lam, params.rank_tol):
+        directions = []
+    trace_w = float(np.clip(np.real(np.trace(W_star)), n_tx / _POWER_GRID, n_tx))
+    t_grid = np.unique(
+        np.concatenate([np.linspace(n_tx / _POWER_GRID, n_tx, _POWER_GRID), [trace_w]])
+    )
+    best_vec, best_val = None, -np.inf
+    for direction in [lead_dir] + directions:
+        D = np.outer(direction, direction.conj())
+        qb = _pair_traces(cache, "bob", D)
+        qe = _pair_traces(cache, "eve", D)
+        xb = -0.5 * cache.p1 * np.multiply.outer(t_grid, qb) / LN2
+        xe = -0.5 * cache.p1 * np.multiply.outer(t_grid, qe) / LN2
+        values = np.mean(log2sumexp2(xe, axis=2) - log2sumexp2(xb, axis=2), axis=1)
+        i = int(np.argmax(values))
+        if values[i] > best_val:
+            best_val = float(values[i])
+            best_vec = np.sqrt(t_grid[i]) * direction
+    return best_vec
+
+
+def lifted_solution(kind, n_tx, seed):
+    """A W* of the given kind: off the power grid in trace, so tr(W*) is swept too."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n_tx, n_tx)) + 1j * rng.standard_normal((n_tx, n_tx))
+    if kind == "zero":
+        return np.zeros((n_tx, n_tx), dtype=complex)
+    W = np.outer(A[0], A[0].conj()) if kind == "rank-one" else A @ A.conj().T
+    return W * (n_tx / 3 / np.trace(W).real)
+
+
+def cases():
+    for n_tx, M in SHAPES:
+        for snr_db in SNRS_DB:
+            for kind in KINDS:
+                for draws in DRAWS:
+                    yield pytest.param(
+                        n_tx, M, snr_db, kind, draws, id=f"{n_tx}x{M}-{snr_db}dB-{kind}-{draws}"
+                    )
+
+
+@pytest.mark.parametrize("n_tx,M,snr_db,kind,draws", cases())
+def test_sweep_equals_the_per_direction_loop(n_tx, M, snr_db, kind, draws):
+    *_, cache = make_instance(seed=n_tx + M, n_tx=n_tx, M=M, sigma2=10 ** (-snr_db / 10))
+    W = lifted_solution(kind, n_tx, seed=n_tx * 10 + M)
+    params = SCAParams(n_randomizations=draws)
+    rng, rng_ref = np.random.default_rng(draws), np.random.default_rng(draws)
+    got = power_sweep_rounding(cache, W, params, rng)
+    want = reference_power_sweep_rounding(cache, W, params, rng_ref)
+    assert np.all(np.isfinite(got))
+    np.testing.assert_array_equal(got, want)
+    assert rng.random() == rng_ref.random()
+
+
+def test_hoisted_row_maximum_is_exact():
+    # Zeros, tiny negative traces (rounding can give them), huge ones, inf and
+    # nan; and p1 = 0, where every exponent is a signed zero.
+    rng = np.random.default_rng(4)
+    q = rng.exponential(size=(3, 8, 8)) * 10.0 ** rng.integers(-300, 300, size=(3, 8, 8))
+    q[:, range(8), range(8)] = 0.0
+    q[0, 1, 2] = -1e-17
+    q[0, 3, 4] = -5e-324
+    q[1, 2, 5] = np.inf
+    q[2, 6, 0] = np.nan
+    t_grid = np.unique(np.concatenate([np.linspace(4 / 64, 4, 64), [1.3]]))
+    for p1 in (0.5, 1e6, 0.0):
+        scale = -0.5 * p1
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = log2sumexp2(scale * np.multiply.outer(t_grid, q) / LN2, axis=-1)
+            got = _swept_log_terms(q, t_grid, scale)
+        np.testing.assert_array_equal(got, want.swapaxes(0, 1))
+
+
+# Traced peak of one sweep (100 draws, full-rank W*) when each direction was
+# scored on its own: 0.183 MiB at (4, 2) and 8.30 MiB at (16, 4).  Blocks of
+# four directions may add half of that; blocks of eight would not fit.
+PARENT_PEAK_MIB = {(4, 2): 0.183, (16, 4): 8.30}
+
+
+@pytest.mark.parametrize("n_tx,M", list(PARENT_PEAK_MIB))
+def test_sweep_peak_memory(n_tx, M):
+    *_, cache = make_instance(seed=3, n_tx=n_tx, M=M, sigma2=0.1)
+    W = lifted_solution("full-rank", n_tx, seed=1)
+    power_sweep_rounding(cache, W, SCAParams(), np.random.default_rng(2))  # warm up
+    tracemalloc.start()
+    try:
+        power_sweep_rounding(cache, W, SCAParams(), np.random.default_rng(2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * PARENT_PEAK_MIB[(n_tx, M)] * 2**20

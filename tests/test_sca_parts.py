@@ -168,6 +168,46 @@ def test_projection_rejects_non_hermitian(rng):
         project_spectrahedron(W, 3.0)
 
 
+def test_projection_of_real_and_integer_input(rng):
+    # real eigenvectors must not alias their conjugate transpose
+    W = random_hermitian(rng, 4, scale=3.0).real
+    np.testing.assert_allclose(
+        project_spectrahedron(W, 2.0), project_spectrahedron(W.astype(complex), 2.0), atol=1e-12
+    )
+    np.testing.assert_array_equal(
+        project_spectrahedron(np.diag([8, 0, 0, 0]), 4.0), np.diag([4.0, 0.0, 0.0, 0.0])
+    )
+
+
+@pytest.mark.parametrize("budget", [np.nan, np.inf, 0.0, -1.0])
+def test_projection_rejects_a_bad_budget(budget):
+    # before, a nan or inf budget returned 5 I, uncapped, with trace 15
+    with pytest.raises(ValueError, match="budget"):
+        project_spectrahedron(5.0 * np.eye(3, dtype=complex), budget)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+def test_projection_rejects_non_finite_entries(bad, where):
+    # before, a nan or inf entry returned an all-nan matrix without an error
+    W = np.eye(3, dtype=complex)
+    W[where] = bad
+    W[where[::-1]] = np.conj(bad)
+    with pytest.raises(ValueError, match="finite"):
+        project_spectrahedron(W, 3.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 1.0)])
+@pytest.mark.parametrize("where", [(1, 1), (0, 2)])
+def test_subproblem_rejects_non_finite_start(instance, bad, where):
+    *_, cache = instance
+    W = 0.5 * np.eye(4, dtype=complex)
+    W[where] = bad
+    W[where[::-1]] = np.conj(bad)
+    with pytest.raises(ValueError, match="finite"):
+        solve_sca_subproblem(cache, W, SCAParams())
+
+
 def test_subproblem_start_point_identity(instance):
     # the surrogate at (W_prev, W_prev) collapses to the relaxed objective
     *_, cache = instance

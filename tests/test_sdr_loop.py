@@ -32,7 +32,7 @@ def full_power_rounding(cache, W, params, rng):
     lead, directions, lam = _rounding_directions(W, params.n_randomizations, rng)
     if _is_rank_one(lam, params.rank_tol):
         directions = []
-    candidates = [np.sqrt(cache.n_tx) * d for d in [lead] + directions]
+    candidates = [np.sqrt(cache.n_tx) * d for d in [lead, *directions]]
     return max(candidates, key=lambda c: asr(cache, c))
 
 
