@@ -31,21 +31,34 @@ is a difference of entries of one K x K Gram matrix,
 
     v^H A_{kk'} v = G_kk + G_k'k' - 2 Re G_kk',  G = X^H R X,
 
-so all K^2 quadratic forms cost O(K N_t^2 + K^2 N_t) and
-:class:`QuadFormCache` holds only S (and S^H) and the two N_t x N_t Grams R.
+so all K^2 quadratic forms cost O(K N_t^2 + K^2 N_t) in this form.
 
-Every closed-form quantity is taken in the lifted form.  Under W = v v^H
-each quadratic form is a trace, v^H A_{kk'} v = tr(W A_{kk'}), and G above
-is S^H (R * W^T) S, so one kernel serves vectors and lifted matrices alike:
-``_pair_traces`` gives the K x K traces of any Hermitian W and
-``_lifted_eval`` their per-symbol log terms with the row-softmax weights.
-``asr`` and ``link_rate_approx`` are the lifted quantities at W = v v^H
-(``relaxed_asr`` and its per-link terms), and the optimizers in
-``smsec.optim`` take every pair gradient from the one weighted-sum kernel
-``_weighted_pair_sum`` there.
+Every closed-form *vector* quantity is taken from the received
+constellation.  With F = Q^{-1/2} C the whitened channel (N x N_t) and
+t_k = sqrt(p1) F diag(v) s_k the noise-free received points, the scaled
+quadratic form p1 v^H A_{kk'} v is ||t_k - t_k'||^2, a pairwise distance
+of the N x K matrix T.  ``_constellation_terms`` takes all K^2 of them from
+one real K x K Gram of the stacked points [Re T; Im T], so ``asr``,
+``link_rate_approx`` and ASR-GD's value and gradient (``smsec.optim``) cost
+O(K^2 N + K N N_t) per link; N, the link's receive antennas, is small.
+:class:`QuadFormCache` holds S (and S^H), each link's F and its N_t x N_t
+Gram R = F^H F.
 
-The closed-form log-sum-exps are evaluated with max-shifting so that high
-signal-to-noise ratios do not underflow.  The rounding power sweep in
+Lifted *matrices* keep the trace form.  Under W = v v^H each quadratic
+form is a trace, v^H A_{kk'} v = tr(W A_{kk'}), and G above is
+S^H (R * W^T) S: ``_pair_traces`` gives the K x K traces of any Hermitian
+W and ``_lifted_eval`` their per-symbol log terms with the row-softmax
+weights.  ``relaxed_asr``, the SCA iterates and the rounding sweep use
+them, and every lifted pair gradient (and SR-GD's pair term) comes from
+the weighted-sum kernel ``_weighted_pair_sum`` in ``smsec.optim``.  At
+W = v v^H the two forms agree to rounding.
+
+The lifted log-sum-exps are evaluated with max-shifting so that high
+signal-to-noise ratios do not underflow; a lifted W need not be PSD (FISTA
+extrapolates), so a row's largest exponent is not known in advance.  The
+vector ones need no shift: every exponent c ||t_k - t_k'||^2 (c < 0) has
+an exactly zero diagonal in ``_constellation_terms``, so each row sum is
+at least 1 and its log2 is finite and nonnegative.  The rounding power sweep in
 ``smsec.optim`` evaluates the rows x_kk' = c (t q_kk') / ln 2 of one
 direction at many powers t > 0, with q its pair traces and c = -p1/2 <= 0.
 It takes each row maximum once per direction, as c (t min_k' q_kk') / ln 2,
@@ -125,6 +138,8 @@ _LN2 = math.log(2.0)
 # Per-dimension Jensen offset in bits: log2(e) for E||w||^2 minus the 1 bit
 # of the 2^-r factor in E exp(-||d + w||^2) over CN(0, I_r) noise.
 _JENSEN_GAP = 1.0 / _LN2 - 1.0
+# c = -1/(2 ln 2): exp(-d / 2) = 2^(c d) for a squared distance d.
+_EXP2_SCALE = -0.5 / _LN2
 
 # Largest per-sample spread max_b u_sb - min_b u_sb (natural-log units) for
 # which :func:`_mc_factors` is used.  Below it, in double precision, every
@@ -154,13 +169,17 @@ class QuadFormCache:
 
     ``signals`` is the SM signal matrix S (N_t x K), column k the symbol
     s_k in antenna-major order.  ``gram_b``/``gram_e`` are the whitened
-    channel Grams R = C^H Q^{-1} C of the legitimate / eavesdropper link.
-    The pair matrix of symbols (k, k') on a link is R * conj(d d^H) with
-    d = s_k - s_k'; the kernels never form it, and :meth:`pair_matrix`
+    channel Grams R = C^H Q^{-1} C of the legitimate / eavesdropper link,
+    which the lifted kernels take.  ``factor_b``/``factor_e`` are the
+    whitened channels F = Q^{-1/2} C (N x N_t), from which the vector
+    kernels (``asr``, ``link_rate_approx``, ASR-GD) form the received
+    points; they are the matrices the Monte-Carlo rate whitens with, bit for
+    bit.  The pair matrix of symbols (k, k') on a link is R * conj(d d^H)
+    with d = s_k - s_k'; the kernels never form it, and :meth:`pair_matrix`
     builds one on demand for checks.  ``noise_dim_b``/``noise_dim_e`` bound
     the rank of each Gram (the link's min(N, N_t)); ``None`` falls back to
     ``n_tx``, which is always valid.  The arrays take O(N_t K + N_t^2)
-    memory.  ``signals_h`` is S^H, derived at construction so that the pair
+    memory (the factors add N N_t per link).  ``signals_h`` is S^H, derived at construction so that the pair
     kernels do not conjugate S on every call.  Immutable after construction;
     safe to share across threads.
     """
@@ -171,6 +190,8 @@ class QuadFormCache:
     p1: float
     n_tx: int
     M: int
+    factor_b: np.ndarray
+    factor_e: np.ndarray
     noise_dim_b: int | None = None
     noise_dim_e: int | None = None
     signals_h: np.ndarray = field(init=False, repr=False, compare=False)
@@ -188,6 +209,14 @@ class QuadFormCache:
             return self.gram_b
         if side == "eve":
             return self.gram_e
+        raise ValueError(f"side must be 'bob' or 'eve', got {side!r}")
+
+    def factor(self, side: str) -> np.ndarray:
+        """Whitened channel Q^{-1/2} C (N x N_t) of the ``side`` link."""
+        if side == "bob":
+            return self.factor_b
+        if side == "eve":
+            return self.factor_e
         raise ValueError(f"side must be 'bob' or 'eve', got {side!r}")
 
     def noise_dim(self, side: str) -> int:
@@ -249,28 +278,41 @@ def _whitened_gram(C: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return (gram + gram.conj().T) / 2
 
 
+def _link_covariances(
+    channels: ChannelPair, proj: ANProjector, powers: PowerConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Interference-plus-noise covariances of the legitimate and eavesdropper links.
+
+    Bob's is exactly sigma_b^2 * I, since the AN projector nulls H.
+    """
+    q_b = powers.sigma2_b * np.eye(channels.H.shape[0])
+    q_e = noise_covariance(channels.G, proj, powers.p2, powers.sigma2_e)
+    return q_b, q_e
+
+
 def build_cache(
     channels: ChannelPair,
     proj: ANProjector,
     powers: PowerConfig,
     codebook: SMCodebook,
 ) -> QuadFormCache:
-    """Whitened Grams of both links plus the SM signal matrix.
+    """Whitened channels and Grams of both links plus the SM signal matrix.
 
     The legitimate link's interference covariance reduces exactly to
     sigma_b^2 * I because the AN projector nulls H; the eavesdropper's is
-    the full AN-plus-noise covariance.
+    the full AN-plus-noise covariance.  Each whitened channel is
+    ``whiten(Q) @ C``, as :func:`_link_pair_setup` forms it, so the
+    closed-form and Monte-Carlo rates see the same received points.
     """
     H, G = channels.H, channels.G
     n_tx = codebook.n_tx
     if H.shape[1] != n_tx:
         raise ValueError("channel and codebook transmit dimensions differ")
 
-    # Bob's covariance reduces exactly to sigma_b^2 * I (the projector nulls
-    # H); both Grams go through the same solve so a fully symmetric instance
-    # yields bit-identical Grams, hence identical rates, on the two links.
-    q_b = powers.sigma2_b * np.eye(H.shape[0])
-    q_e = noise_covariance(G, proj, powers.p2, powers.sigma2_e)
+    # Both links go through the same solve and the same whitening, so a
+    # fully symmetric instance yields bit-identical Grams and factors, hence
+    # identical rates, on the two links.
+    q_b, q_e = _link_covariances(channels, proj, powers)
     return QuadFormCache(
         signals=codebook.signal_matrix(),
         gram_b=_whitened_gram(H, q_b),
@@ -278,6 +320,8 @@ def build_cache(
         p1=powers.p1,
         n_tx=n_tx,
         M=codebook.M,
+        factor_b=whiten(q_b) @ H,
+        factor_e=whiten(q_e) @ G,
         noise_dim_b=min(H.shape[0], n_tx),
         noise_dim_e=min(G.shape[0], n_tx),
     )
@@ -345,11 +389,37 @@ def _lifted_eval(
     return _row_log2sumexp2(x)
 
 
+def _constellation_terms(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-point log2 sum_b exp(-||t_a - t_b||^2 / 2) of the columns of T, and the row softmax.
+
+    ``T`` holds the received points t_k as columns (N x K).  With the real
+    stacked points Z = [Re T; Im T] (2N x K), G = Z^T Z (one real product)
+    and sq = diag G, the exponents in base 2 are
+    x_ab = c sq_a + c sq_b - 2c G_ab with c = -1/(2 ln 2).  The diagonal
+    x_aa is exactly 0 (2c is an exact doubling of c, so c sq_a twice cancels
+    -2c sq_a to the bit), hence every row sum is at least 1 and no max
+    shift is needed.  Returns the K log terms and the K x K weights
+    2^x_ab / rowsum_a, which are the derivatives of each log term with
+    respect to its row of x (up to the factor ln 2).  O(K^2 N) time.
+    """
+    Z = np.concatenate([T.real, T.imag])
+    x = Z.T.copy() @ Z  # a general product: BLAS's A^T A routine is slower at this size
+    half = _EXP2_SCALE * x.diagonal()  # c sq, taken before x is overwritten
+    x *= -2.0 * _EXP2_SCALE
+    x += half[:, None]
+    x += half
+    e = np.exp2(x, out=x)
+    sums = e.sum(axis=1)
+    e *= np.reciprocal(sums)[:, None]
+    return np.log2(sums, out=sums), e
+
+
 def relaxed_asr(cache: QuadFormCache, W: np.ndarray) -> float:
     """Lifted approximate secrecy rate at a Hermitian W (unclamped).
 
     Averages the per-pair difference of the eavesdropper and legitimate
-    lifted log-sum-exp terms; at W = v v^H this equals ``asr(cache, v)``.
+    lifted log-sum-exp terms; at W = v v^H this equals ``asr(cache, v)`` to
+    rounding.
     """
     inner_e, _ = _lifted_eval(cache, "eve", W)
     inner_b, _ = _lifted_eval(cache, "bob", W)
@@ -360,7 +430,8 @@ def link_rate_approx(cache: QuadFormCache, side: str, v: np.ndarray) -> float:
     """Closed-form link-rate approximation in bits (the paper's expression).
 
     log2(M*N_t) - (1/(M*N_t)) * sum_k log2 sum_k' exp(-p1 * v^H A_{kk'} v / 2),
-    the lifted log terms of :func:`_lifted_eval` at W = v v^H.
+    the log terms of :func:`_constellation_terms` at the link's received
+    points, O(K^2 N + K N N_t) with K = M*N_t.
 
     Tracks the Monte-Carlo mutual information closely over the whole SNR
     range and is exact in both limits (0 and log2(M*N_t)), but it is not a
@@ -368,7 +439,8 @@ def link_rate_approx(cache: QuadFormCache, side: str, v: np.ndarray) -> float:
     true value.  :func:`mi_lower_bound` is the bound.
     """
     v = np.asarray(v, dtype=complex)
-    inner, _ = _lifted_eval(cache, side, np.outer(v, v.conj()))
+    T = _noiseless_points(cache.factor(side), v, cache.signals, cache.p1)
+    inner, _ = _constellation_terms(T)
     return float(np.log2(cache.n_signals) - np.mean(inner))
 
 
@@ -392,13 +464,22 @@ def asr(cache: QuadFormCache, v: np.ndarray, clamp: bool = False) -> float:
 
     Equals link_rate_approx(bob) - link_rate_approx(eve) for every
     (N_b, N_e); it is not built from :func:`mi_lower_bound`, whose Jensen
-    offsets differ between the links when N_b != N_e.  It is
-    :func:`relaxed_asr` at W = v v^H, so the log2(M*N_t) terms cancel
-    analytically.  With ``clamp`` the value is floored at 0, matching the
-    reported (rather than optimized) secrecy rate.
+    offsets differ between the links when N_b != N_e.  It is the mean
+    difference of the links' :func:`_constellation_terms` (eavesdropper
+    minus legitimate), so the log2(M*N_t) terms cancel analytically, and it
+    equals :func:`relaxed_asr` at W = v v^H to rounding.  One evaluation
+    costs O(K^2 N + K N N_t) per link with K = M*N_t.  With ``clamp`` the
+    value is floored at 0, matching the reported (rather than optimized)
+    secrecy rate.
     """
     v = np.asarray(v, dtype=complex)
-    value = relaxed_asr(cache, np.outer(v, v.conj()))
+    inner_b, _ = _constellation_terms(
+        _noiseless_points(cache.factor_b, v, cache.signals, cache.p1)
+    )
+    inner_e, _ = _constellation_terms(
+        _noiseless_points(cache.factor_e, v, cache.signals, cache.p1)
+    )
+    value = float(np.mean(inner_e - inner_b))
     return max(value, 0.0) if clamp else value
 
 
@@ -416,8 +497,8 @@ def _link_pair_setup(
     both links share a code path and a fully symmetric instance (G = H,
     equal noise) cancels bit for bit.
     """
-    wh_b = whiten(powers.sigma2_b * np.eye(channels.H.shape[0]))
-    wh_e = whiten(noise_covariance(channels.G, proj, powers.p2, powers.sigma2_e))
+    q_b, q_e = _link_covariances(channels, proj, powers)
+    wh_b, wh_e = whiten(q_b), whiten(q_e)
     seed = int(rng.integers(0, 2**63))
     return wh_b, wh_e, np.random.default_rng(seed), np.random.default_rng(seed)
 

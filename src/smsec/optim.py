@@ -6,7 +6,8 @@ Three methods under the power constraint tr(v v^H) <= N_t:
   secrecy rate, with step-size halving on non-improving steps.  Every step
   is renormalized onto the power sphere tr(v v^H) = N_t, so the search
   never tries a lower power.  Each candidate's value and gradient come from
-  one lifted pass per link at W = v v^H (:func:`_asr_value_and_gradient`).
+  one pass per link over its received constellation
+  (:func:`_asr_value_and_gradient`).
 * :func:`max_sr_gd`: the same ascent loop (on the same sphere) driven by
   the Monte-Carlo secrecy rate under frozen noise samples (common random
   numbers), so the objective and its sample-average gradient are
@@ -22,13 +23,13 @@ Three methods under the power constraint tr(v v^H) <= N_t:
   :func:`power_sweep_rounding` recovers a rank-one precoder from the
   solution by Gaussian randomization with a transmit-power line search.
 
-Every closed-form quantity is the lifted one at W = v v^H, and two kernels
-give them all without forming a pair matrix A_{kk'}: ``_pair_traces`` (in
-``smsec.metrics``) the pair values tr(W A_{kk'}), a pairwise distance over
-one K x K Gram matrix of the SM signal matrix S, and
-:func:`_weighted_pair_sum` the softmax-weighted sums of the A_{kk'} that
-every pair gradient is built from.  A vector gradient is the lifted gradient
-applied to v: for f(v) = g(v v^H), df/d(conj v) = grad g(v v^H) v.  SR-GD's
+No kernel forms a pair matrix A_{kk'}.  The vector objective of ASR-GD is
+taken from each link's received points T = sqrt(p1) F diag(v) S
+(``_constellation_terms`` in ``smsec.metrics``), a pairwise distance over
+one real K x K Gram of T.  The lifted quantities of SCA and rounding use
+``_pair_traces`` (the pair values tr(W A_{kk'}) over one K x K Gram of the
+SM signal matrix S) and :func:`_weighted_pair_sum`, the softmax-weighted
+sums of the A_{kk'} that every lifted pair gradient is built from.  SR-GD's
 pair term is the same weighted sum over its link's Gram.
 
 Objectives are optimized unclamped; the [.]^+ floor applies only to
@@ -47,6 +48,7 @@ import numpy as np
 
 from .metrics import (
     _complex_noise,
+    _constellation_terms,
     _lifted_eval,
     _link_pair_setup,
     _mc_exponentials,
@@ -237,20 +239,53 @@ def _asr_value_and_gradient(
 ) -> tuple[float, np.ndarray]:
     """Unclamped approximate secrecy rate at v and its conjugate gradient.
 
-    Forms W = v v^H once and takes one :func:`_lifted_eval` pass per link,
-    so the value equals ``asr(cache, v, clamp=False)`` bit for bit (the
-    same lifted terms at the same W).  The gradient is the lifted gradient
-    applied to v: for f(v) = g(v v^H), df/d(conj v) = grad g(v v^H) v with
-    grad g the Hermitian gradient of the trace pairing, here the two links'
-    :func:`_lifted_grad` from the same softmax weights.  The pair costs
-    O(K N_t^2 + K^2 N_t) with K = M*N_t.
+    Takes one :func:`_constellation_terms` pass per link, on the same
+    received points as ``asr``, so the value equals
+    ``asr(cache, v, clamp=False)`` bit for bit.  With t_k the received points
+    of a link, its log terms are l_a = log2 sum_b exp(-||t_a - t_b||^2 / 2)
+    and t_a - t_b = sqrt(p1) F diag(s_a - s_b) v, so
+    d l_a / d(conj v) = -sqrt(p1) / (2 ln 2) sum_b P_ab
+    conj(s_a - s_b) * F^H (t_a - t_b) with P the row softmax.  Summed over a,
+    that is -sqrt(p1) / (2 ln 2) rowsum(conj(S) * F^H (T L)), with
+    L = diag(r + c) - P - P^T and r, c the row and column sums of P
+    (:func:`_constellation_pull`).  The gradient is the eavesdropper's term
+    minus the legitimate one's, over K.  The pair costs O(K^2 N + K N N_t)
+    with K = M*N_t and N the link's receive antennas; the lifted form at
+    W = v v^H costs O(K N_t^2 + K^2 N_t) and agrees to rounding.
     """
     v = np.asarray(v, dtype=complex)
-    W = np.outer(v, v.conj())
-    inner_b, P_b = _lifted_eval(cache, "bob", W)
-    inner_e, P_e = _lifted_eval(cache, "eve", W)
-    grad = (_lifted_grad(cache, "eve", P_e) - _lifted_grad(cache, "bob", P_b)) @ v
+    inner_b, pull_b = _constellation_pull(cache, cache.factor_b, v)
+    inner_e, pull_e = _constellation_pull(cache, cache.factor_e, v)
+    grad = np.subtract(pull_e, pull_b, out=pull_e)
+    grad *= -math.sqrt(cache.p1) / (2 * _LN2 * cache.n_signals)
     return float(np.mean(inner_e - inner_b)), grad
+
+
+def _constellation_pull(
+    cache: QuadFormCache, F: np.ndarray, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Log terms of the link with whitened channel ``F`` at v, and rowsum(conj(S) * F^H (T L)).
+
+    T is the link's received points (N x K) and L = diag(r + c) - P - P^T
+    for the row softmax P of :func:`_constellation_terms`.  The diagonal of
+    P is dropped first, for the reason :func:`_weighted_pair_sum` gives.
+    T L is formed on the real stacked points Z = [Re T; Im T] as
+    Z (r + c) - Z P - Z P^T, so P is never cast to complex.  The row sum is
+    taken in the equal order colsum(conj(F) * ((T L) S^H)), whose
+    temporaries are N x N_t instead of N_t x K.
+    """
+    T = _noiseless_points(F, v, cache.signals, cache.p1)
+    inner, P = _constellation_terms(T)
+    K = P.shape[0]
+    P.reshape(-1)[:: K + 1] = 0.0
+    ones = np.ones(K)
+    Z = np.concatenate([T.real, T.imag])
+    ZL = Z * (P @ ones + ones @ P)
+    ZL -= Z @ P
+    ZL -= Z @ P.T
+    N = T.shape[0]
+    LS = ZL @ cache.signals_h  # [Re(T L); Im(T L)] S^H, 2N x N_t
+    return inner, np.sum(F.conj() * (LS[:N] + 1j * LS[N:]), axis=0)
 
 
 def _weighted_pair_sum(
@@ -264,10 +299,11 @@ def _weighted_pair_sum(
     of P), so the sum is R * conj(S L S^H).  The diagonal of P is dropped
     first: pairs (k, k) have A_kk = 0, so their weight changes no sum, and
     dropping it spares the identities a cancellation of two O(1) terms when
-    the softmax weight sits on the diagonal (high SNR).  Every pair gradient
-    comes from this sum: the lifted ones (:func:`_lifted_grad`,
-    :func:`grad_f1`), ASR-GD's through :func:`_lifted_grad`, and SR-GD's
-    pair term with R = F^H F.
+    the softmax weight sits on the diagonal (high SNR).  The lifted pair
+    gradients come from this sum (:func:`_lifted_grad` for the SCA
+    iterates, :func:`grad_f1`), and so does SR-GD's pair term with
+    R = F^H F.  It costs O(K^2 N_t + K N_t^2).  ASR-GD does not use it: its
+    gradient is taken on the received points (:func:`_constellation_pull`).
     """
     K = P.shape[0]
     P = P.copy()
@@ -341,8 +377,9 @@ def _ascend(value_and_grad, v0: np.ndarray, n_tx: int, params: GDParams) -> OptT
 def max_asr_gd(cache: QuadFormCache, v0: np.ndarray, params: GDParams) -> OptTrace:
     """Gradient ascent on the approximate secrecy rate (unclamped).
 
-    Each candidate costs one lifted pass per link at W = v v^H
-    (:func:`_asr_value_and_gradient`), which gives its value and gradient.
+    Each candidate costs one pass per link over its received constellation
+    (:func:`_asr_value_and_gradient`), which gives its value and gradient in
+    O(K^2 N + K N N_t) with K = M*N_t and N the link's receive antennas.
     Accepted-iterate objectives are non-decreasing by construction; the
     final vector satisfies tr(v v^H) <= N_t.
     """
@@ -570,12 +607,16 @@ def _hermitian_part(W: np.ndarray, rel_tol: float, message: str) -> np.ndarray:
     ``rel_tol`` * max(1, ||W||_F), and a finiteness error for a nan or
     infinite entry.  Both checks use squared norms and are written so that
     nan fails them; the entries are scanned for non-finite values only when
-    ||W||_F^2 is itself not finite, so finite input costs no extra pass.
+    ||W||_F^2 is itself not finite, so finite input costs no extra pass.  A
+    finite W whose ||W||_F^2 overflows is rejected too: the drift test
+    would compare inf with inf and pass any such W.
     """
     W = np.asarray(W, dtype=np.result_type(W, 0.5))  # the halving below is in place
     size = np.vdot(W, W).real
-    if not size < math.inf and not np.all(np.isfinite(W)):
-        raise ValueError("matrix must be finite (it has a nan or infinite entry)")
+    if not size < math.inf:
+        if not np.all(np.isfinite(W)):
+            raise ValueError("matrix must be finite (it has a nan or infinite entry)")
+        raise ValueError("matrix is too large: its squared Frobenius norm overflows")
     W_h = W.conj().T
     drift = W - W_h
     if not np.vdot(drift, drift).real <= rel_tol * rel_tol * max(1.0, size):
@@ -586,12 +627,20 @@ def _hermitian_part(W: np.ndarray, rel_tol: float, message: str) -> np.ndarray:
 
 
 def _project_capped_simplex(lam: np.ndarray, budget: float) -> np.ndarray:
-    """Euclidean projection of lam onto {x >= 0, sum(x) = budget}."""
+    """Euclidean projection of lam onto {x >= 0, sum(x) = budget}.
+
+    In exact arithmetic the largest entry always passes the threshold test.
+    In floating point none does once the entries dwarf the budget (about
+    1e16 times it), since each test then cancels to 0; that raises
+    ``ValueError``.
+    """
     srt = np.sort(lam)[::-1]
     css = np.cumsum(srt)
     j = np.arange(1, len(lam) + 1)
-    valid = srt - (css - budget) / j > 0
-    rho = int(np.max(np.nonzero(valid)[0]))
+    valid = np.flatnonzero(srt - (css - budget) / j > 0)
+    if valid.size == 0:
+        raise ValueError(f"spectrum too large to project onto trace budget {budget!r}")
+    rho = int(valid[-1])
     tau = (css[rho] - budget) / (rho + 1)
     return np.clip(lam - tau, 0.0, None)
 
@@ -794,7 +843,13 @@ def _rounding_directions(
     draws = rng.standard_normal((n_randomizations, 2, n))
     z = (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2)
     xi = (root @ z[:, :, None])[:, :, 0]
-    norms = np.array([np.linalg.norm(x) for x in xi])
+    # sqrt(Re x . Re x + Im x . Im x) per row, the sum np.linalg.norm takes
+    # for one complex vector, as stacked dot products.
+    re, im = xi.real, xi.imag
+    norms = np.sqrt(
+        np.matmul(re[:, None, :], re[:, :, None])[:, 0, 0]
+        + np.matmul(im[:, None, :], im[:, :, None])[:, 0, 0]
+    )
     keep = norms > 0
     return lead, xi[keep] / norms[keep, None], lam
 

@@ -1,10 +1,12 @@
 """ASR-GD's fused value-and-gradient pass against the separate evaluations.
 
-``_asr_value_and_gradient`` takes each link's quadratic forms and softmax
-once and returns both the approximate secrecy rate and its gradient.  Its
-value must equal ``asr(cache, v, clamp=False)`` bit for bit, and ASR-GD
-driven by it must retrace, step for step, the ascent that evaluated
-``asr`` and ``asr_gradient`` separately for each candidate.
+``_asr_value_and_gradient`` takes each link's received constellation and
+softmax once and returns both the approximate secrecy rate and its
+gradient.  Its value must equal ``asr(cache, v, clamp=False)`` bit for bit,
+and ASR-GD driven by it must retrace, step for step, the ascent that
+evaluated ``asr`` and ``asr_gradient`` separately for each candidate.  The
+constellation form must agree with the lifted form at W = v v^H to rounding:
+the value to 1e-12 relative and the gradient to 1e-11.
 
 The pair kernels and the spectrahedron projection work in place on their own
 temporaries and take S^H from the cache.  On the same grid they must equal,
@@ -111,7 +113,10 @@ def test_fused_pass_equals_separate_evaluations(n_tx, M, snr_db, n_b, n_e):
     assert np.isfinite(value)
     assert np.all(np.isfinite(grad))
     assert value == asr(cache, v, clamp=False)
-    assert asr(cache, v, clamp=False) == relaxed_asr(cache, np.outer(v, v.conj()))
+    # asr is taken from the received points, relaxed_asr from the lifted
+    # traces: the same quantity, equal to rounding (worst seen 8.8e-14).
+    lifted = relaxed_asr(cache, np.outer(v, v.conj()))
+    assert asr(cache, v, clamp=False) == pytest.approx(lifted, rel=1e-12, abs=0.0)
     np.testing.assert_array_equal(grad, asr_gradient(cache, v))
 
 

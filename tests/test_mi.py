@@ -155,6 +155,8 @@ def test_asr_clamp(instance):
         p1=cache.p1,
         n_tx=cache.n_tx,
         M=cache.M,
+        factor_b=cache.factor_e,
+        factor_e=cache.factor_b,
     )
     v = np.ones(4, dtype=complex)
     if asr(swapped, v) < 0:

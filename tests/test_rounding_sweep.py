@@ -17,7 +17,13 @@ import pytest
 
 from smsec import SCAParams, power_sweep_rounding
 from smsec.metrics import _pair_traces, log2sumexp2
-from smsec.optim import _POWER_GRID, _is_rank_one, _leading_direction, _swept_log_terms
+from smsec.optim import (
+    _POWER_GRID,
+    _is_rank_one,
+    _leading_direction,
+    _rounding_directions,
+    _swept_log_terms,
+)
 
 from conftest import make_instance
 
@@ -125,6 +131,20 @@ def test_hoisted_row_maximum_is_exact():
             want = log2sumexp2(scale * np.multiply.outer(t_grid, q) / LN2, axis=-1)
             got = _swept_log_terms(q, t_grid, scale)
         np.testing.assert_array_equal(got, want.swapaxes(0, 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 16, 32, 64])
+@pytest.mark.parametrize("kind", KINDS)
+def test_stacked_direction_norms_equal_the_loop(n, kind):
+    # The directions are normalized by stacked dot products; they must equal,
+    # to the bit, one np.linalg.norm call per draw.
+    W = lifted_solution(kind, n, seed=n)
+    lead, got, lam = _rounding_directions(W, 500, np.random.default_rng(n))
+    want_lead, want, want_lam = reference_rounding_directions(W, 500, np.random.default_rng(n))
+    assert len(got) == len(want) == 500
+    np.testing.assert_array_equal(got, np.array(want))
+    np.testing.assert_array_equal(lead, want_lead)
+    np.testing.assert_array_equal(lam, want_lam)
 
 
 # Traced peak of one sweep (100 draws, full-rank W*) when each direction was

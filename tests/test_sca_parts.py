@@ -5,7 +5,7 @@ import pytest
 
 import smsec as S
 from smsec import SCAParams, asr, f1, grad_f1, project_spectrahedron
-from smsec.optim import f2, relaxed_asr, solve_sca_subproblem
+from smsec.optim import _project_capped_simplex, f2, relaxed_asr, solve_sca_subproblem
 
 from conftest import capped_simplex_oracle, lifted_logterms, make_instance, mean_lifted_grad
 
@@ -195,6 +195,28 @@ def test_projection_rejects_non_finite_entries(bad, where):
     W[where[::-1]] = np.conj(bad)
     with pytest.raises(ValueError, match="finite"):
         project_spectrahedron(W, 3.0)
+
+
+def test_projection_rejects_a_matrix_whose_norm_overflows():
+    # ||W||_F^2 overflows: before, the drift test compared inf with inf and
+    # let this non-Hermitian W through, and the valid diagonal one below
+    # failed inside the simplex projection with a numpy reduction error.
+    with pytest.raises(ValueError, match="too large"):
+        project_spectrahedron(np.array([[1e160, 1e160], [0.0, 1e160]]), 3.0)
+    with pytest.raises(ValueError, match="too large"):
+        project_spectrahedron(np.diag([1e160, 1e160]), 3.0)
+
+
+def test_projection_rejects_a_spectrum_that_dwarfs_the_budget():
+    # A finite norm, but every threshold test of the simplex projection
+    # cancels to 0 in double precision, so no index is valid.
+    with pytest.raises(ValueError, match="too large to project"):
+        project_spectrahedron(np.diag([1e17, 1e17]), 3.0)
+    with pytest.raises(ValueError, match="too large to project"):
+        _project_capped_simplex(np.array([1e160, 1e160]), 3.0)
+    np.testing.assert_array_equal(
+        project_spectrahedron(np.diag([1e15, 1e15]), 3.0), np.diag([1.5, 1.5])
+    )
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 1.0)])
