@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+import numpy.random  # numpy loads it on first use; every study draws from it
 
 from .complexity import ComplexityInputs, FlopMethod, flops
 from .errors import ConfigError
@@ -158,6 +159,14 @@ class ExperimentConfig:
                 self.complexity_inputs(n_tx)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
+        for snr_db in self.snr_db_grid:
+            try:
+                self.powers_at(snr_db)
+            except (ValueError, OverflowError) as exc:
+                raise ConfigError(
+                    f"snr_db_grid entry {snr_db!r} is out of range: its noise variance "
+                    "10^(-snr/10) underflows to 0 or overflows"
+                ) from exc
 
     def powers_at(self, snr_db: float) -> PowerConfig:
         """Power configuration at one SNR point (P_t = 1, noise swept)."""

@@ -41,8 +41,10 @@ of the N x K matrix T.  ``_constellation_terms`` takes all K^2 of them from
 one real K x K Gram of the stacked points [Re T; Im T], so ``asr``,
 ``link_rate_approx`` and ASR-GD's value and gradient (``smsec.optim``) cost
 O(K^2 N + K N N_t) per link; N, the link's receive antennas, is small.
-:class:`QuadFormCache` holds S (and S^H), each link's F and its N_t x N_t
-Gram R = F^H F.
+:class:`QuadFormCache` is built from S and each link's F alone; it derives
+S^H, each link's N_t x N_t Gram R = F^H F and the rank bound min(N, N_t)
+from them, so one whitening per link (an eigendecomposition of Q, in
+:func:`whiten`) serves every kernel, and the module needs only numpy.
 
 Lifted *matrices* keep the trace form.  Under W = v v^H each quadratic
 form is a trace, v^H A_{kk'} v = tr(W A_{kk'}), and G above is
@@ -108,7 +110,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError
 from .model import (
@@ -168,35 +169,35 @@ class QuadFormCache:
     """What the pairwise quadratic forms of both links are computed from.
 
     ``signals`` is the SM signal matrix S (N_t x K), column k the symbol
-    s_k in antenna-major order.  ``gram_b``/``gram_e`` are the whitened
-    channel Grams R = C^H Q^{-1} C of the legitimate / eavesdropper link,
-    which the lifted kernels take.  ``factor_b``/``factor_e`` are the
-    whitened channels F = Q^{-1/2} C (N x N_t), from which the vector
-    kernels (``asr``, ``link_rate_approx``, ASR-GD) form the received
-    points; they are the matrices the Monte-Carlo rate whitens with, bit for
-    bit.  The pair matrix of symbols (k, k') on a link is R * conj(d d^H)
-    with d = s_k - s_k'; the kernels never form it, and :meth:`pair_matrix`
-    builds one on demand for checks.  ``noise_dim_b``/``noise_dim_e`` bound
-    the rank of each Gram (the link's min(N, N_t)); ``None`` falls back to
-    ``n_tx``, which is always valid.  The arrays take O(N_t K + N_t^2)
-    memory (the factors add N N_t per link).  ``signals_h`` is S^H, derived at construction so that the pair
-    kernels do not conjugate S on every call.  Immutable after construction;
+    s_k in antenna-major order.  ``factor_b``/``factor_e`` are the whitened
+    channels F = Q^{-1/2} C (N x N_t) of the legitimate / eavesdropper link,
+    from which the vector kernels (``asr``, ``link_rate_approx``, ASR-GD)
+    form the received points; they are the matrices the Monte-Carlo rate
+    whitens with, bit for bit.  Everything else is derived from them at
+    construction: ``gram_b``/``gram_e`` are the Grams R = F^H F = C^H Q^{-1} C
+    (their Hermitian part, :func:`_factor_gram`), which the lifted kernels
+    take, and ``signals_h`` is S^H, so that the pair kernels do not
+    conjugate S on every call.  ``dataclasses.replace`` with new factors
+    therefore rederives both Grams.  The pair matrix of symbols (k, k') on a
+    link is R * conj(d d^H) with d = s_k - s_k'; the kernels never form it,
+    and :meth:`pair_matrix` builds one on demand for checks.  The arrays
+    take O(N_t K + N_t^2 + N N_t) memory.  Immutable after construction;
     safe to share across threads.
     """
 
     signals: np.ndarray
-    gram_b: np.ndarray
-    gram_e: np.ndarray
     p1: float
     n_tx: int
     M: int
     factor_b: np.ndarray
     factor_e: np.ndarray
-    noise_dim_b: int | None = None
-    noise_dim_e: int | None = None
+    gram_b: np.ndarray = field(init=False, repr=False, compare=False)
+    gram_e: np.ndarray = field(init=False, repr=False, compare=False)
     signals_h: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "gram_b", _factor_gram(self.factor_b))
+        object.__setattr__(self, "gram_e", _factor_gram(self.factor_e))
         object.__setattr__(self, "signals_h", self.signals.conj().T)
 
     @property
@@ -220,14 +221,8 @@ class QuadFormCache:
         raise ValueError(f"side must be 'bob' or 'eve', got {side!r}")
 
     def noise_dim(self, side: str) -> int:
-        """Integer >= rank(C^H Q^{-1} C) of the ``side`` link."""
-        if side == "bob":
-            dim = self.noise_dim_b
-        elif side == "eve":
-            dim = self.noise_dim_e
-        else:
-            raise ValueError(f"side must be 'bob' or 'eve', got {side!r}")
-        return self.n_tx if dim is None else dim
+        """min(N, N_t) of the ``side`` link, which bounds the rank of its Gram."""
+        return min(self.factor(side).shape)
 
     def pair_matrix(self, side: str, k: int, kp: int) -> np.ndarray:
         """Hermitian PSD pair matrix A_{kk'} (N_t x N_t) of the ``side`` link.
@@ -272,9 +267,9 @@ def whiten(Q: np.ndarray) -> np.ndarray:
     return (W + W.conj().T) / 2
 
 
-def _whitened_gram(C: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Hermitian C^H Q^{-1} C via a positive-definite solve."""
-    gram = C.conj().T @ scipy.linalg.solve(Q, C, assume_a="pos")
+def _factor_gram(F: np.ndarray) -> np.ndarray:
+    """Hermitian part of the Gram F^H F of a whitened channel F = Q^{-1/2} C."""
+    gram = F.conj().T @ F
     return (gram + gram.conj().T) / 2
 
 
@@ -296,34 +291,31 @@ def build_cache(
     powers: PowerConfig,
     codebook: SMCodebook,
 ) -> QuadFormCache:
-    """Whitened channels and Grams of both links plus the SM signal matrix.
+    """Whitened channels of both links plus the SM signal matrix.
 
     The legitimate link's interference covariance reduces exactly to
     sigma_b^2 * I because the AN projector nulls H; the eavesdropper's is
     the full AN-plus-noise covariance.  Each whitened channel is
     ``whiten(Q) @ C``, as :func:`_link_pair_setup` forms it, so the
-    closed-form and Monte-Carlo rates see the same received points.
+    closed-form and Monte-Carlo rates see the same received points; the
+    cache derives each link's Gram from it, so every link is whitened once.
     """
     H, G = channels.H, channels.G
     n_tx = codebook.n_tx
     if H.shape[1] != n_tx:
         raise ValueError("channel and codebook transmit dimensions differ")
 
-    # Both links go through the same solve and the same whitening, so a
-    # fully symmetric instance yields bit-identical Grams and factors, hence
-    # identical rates, on the two links.
+    # Both links go through the same whitening, so a fully symmetric
+    # instance yields bit-identical factors and Grams, hence identical
+    # rates, on the two links.
     q_b, q_e = _link_covariances(channels, proj, powers)
     return QuadFormCache(
         signals=codebook.signal_matrix(),
-        gram_b=_whitened_gram(H, q_b),
-        gram_e=_whitened_gram(G, q_e),
         p1=powers.p1,
         n_tx=n_tx,
         M=codebook.M,
         factor_b=whiten(q_b) @ H,
         factor_e=whiten(q_e) @ G,
-        noise_dim_b=min(H.shape[0], n_tx),
-        noise_dim_e=min(G.shape[0], n_tx),
     )
 
 
@@ -535,7 +527,7 @@ def _stacked_noise(noise: np.ndarray) -> np.ndarray:
 
 
 def _mc_factors(
-    T: np.ndarray, stacked: np.ndarray
+    T: np.ndarray, stacked: np.ndarray, work: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
     """The factored pair kernel: (inner, e, X, Xe), or None beyond the spread limit.
 
@@ -552,9 +544,12 @@ def _mc_factors(
     exactly 1: with no signal (T = 0) and K a power of two every entry of
     ``inner`` is log2(K) bit for bit.  Returns None when some sample's
     spread max_b u_sb - min_b u_sb exceeds :data:`_MC_SPREAD_LIMIT`; the
-    caller then uses :func:`_mc_exponentials`.
+    caller then uses :func:`_mc_exponentials`.  With ``work``, a float array
+    of shape (>= 3, K, S), e, X e and ``inner`` are written to its first
+    three slots instead of new arrays, with the same bits.
     """
-    u = (2 * np.concatenate([T.real, T.imag])).T @ stacked
+    u_out, xe_out, inner_out = (None, None, None) if work is None else work[:3]
+    u = np.matmul((2 * np.concatenate([T.real, T.imag])).T, stacked, out=u_out)
     top = u.max(axis=0)
     if np.max(top - u.min(axis=0)) > _MC_SPREAD_LIMIT:
         return None
@@ -562,8 +557,8 @@ def _mc_factors(
     e = np.exp(u, out=u)
     X = np.exp(-_pairwise(T.conj().T @ T))
     np.fill_diagonal(X, 0.0)
-    Xe = X @ e
-    inner = Xe / e
+    Xe = np.matmul(X, e, out=xe_out)
+    inner = np.divide(Xe, e, out=inner_out)
     inner += 1.0
     return np.log2(inner, out=inner), e, X, Xe
 

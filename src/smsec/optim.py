@@ -49,6 +49,7 @@ import numpy as np
 from .metrics import (
     _complex_noise,
     _constellation_terms,
+    _factor_gram,
     _lifted_eval,
     _link_pair_setup,
     _mc_exponentials,
@@ -391,7 +392,8 @@ class _FrozenLink:
     """One link of :class:`_SampledSecrecyObjective`: whitened channel and frozen noise.
 
     ``F`` is the whitened channel (N x N_t) and ``gram`` its Gram F^H F, the
-    link's C^H Q^{-1} C; ``noise`` the samples w_s as rows (S x N),
+    link's C^H Q^{-1} C, as :class:`~smsec.metrics.QuadFormCache` derives
+    it; ``noise`` the samples w_s as rows (S x N),
     ``stacked`` the same samples as the real (2N x S) array the factored
     kernel takes, and ``z`` the rows z_s = F^H w_s as the real S x 2N_t
     array [Re z, Im z], so the gradient contracts it with one real matrix
@@ -410,7 +412,7 @@ class _FrozenLink:
         z = noise @ F.conj()
         return cls(
             F=F,
-            gram=F.conj().T @ F,
+            gram=_factor_gram(F),
             noise=noise,
             stacked=_stacked_noise(noise),
             z=np.hstack([z.real, z.imag]),
@@ -434,7 +436,7 @@ def _direct_pair_weights(
 
 
 def _factored_pair_weights(
-    e: np.ndarray, X: np.ndarray, Xe: np.ndarray
+    e: np.ndarray, X: np.ndarray, Xe: np.ndarray, work: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The pair-weight sums of :func:`_direct_pair_weights` from ``_mc_factors``' factors.
 
@@ -442,11 +444,16 @@ def _factored_pair_weights(
     their sum over samples is X * (g e^T), their row sums are g * (X e) and,
     X being symmetric, their column sums are e * (X g).  Using the zero-
     diagonal X for the row sums avoids forming 1 - (a weight near 1).
+    g and r - c are written to the two slots of ``work`` (shape (2, K, S))
+    and ``Xe`` is overwritten with g * (X e), so no K x S array is allocated.
     """
-    g = np.add(e, Xe)
+    g, r_minus_c = work
+    np.add(e, Xe, out=g)
     np.reciprocal(g, out=g)
-    r_minus_c = e * (X @ g)
-    np.subtract(Xe * g, r_minus_c, out=r_minus_c)
+    np.matmul(X, g, out=r_minus_c)
+    r_minus_c *= e
+    Xe *= g
+    np.subtract(Xe, r_minus_c, out=r_minus_c)
     return X * (g @ e.T), r_minus_c
 
 
@@ -460,7 +467,9 @@ class _SampledSecrecyObjective:
     links' :class:`_FrozenLink` records; :meth:`value_and_gradient`
     evaluates both with the Monte-Carlo pair kernel of ``smsec.metrics``
     (factored, or direct beyond its spread limit) and takes the gradient's
-    pair weights from the same factors.
+    pair weights from the same factors.  The factored kernel's five K x S
+    arrays per link live in one (4, K, S) workspace that both links share,
+    so an evaluation allocates no array of that size.
     """
 
     def __init__(
@@ -480,6 +489,7 @@ class _SampledSecrecyObjective:
         wh_b, wh_e, rng_b, rng_e = _link_pair_setup(channels, proj, powers, rng)
         self.bob = _FrozenLink.draw(wh_b @ channels.H, rng_b, n_samp)
         self.eve = _FrozenLink.draw(wh_e @ channels.G, rng_e, n_samp)
+        self._work = np.empty((4, self.signals.shape[1], n_samp))
 
     def value_and_gradient(self, v: np.ndarray) -> tuple[float, np.ndarray]:
         """Sampled secrecy rate I(bob) - I(eve) at v and its conjugate gradient."""
@@ -507,13 +517,14 @@ class _SampledSecrecyObjective:
         K = S.shape[1]
         n_samp = link.noise.shape[0]
         T = _noiseless_points(link.F, v, S, self.p1)
-        factors = _mc_factors(T, link.stacked)
+        factors = _mc_factors(T, link.stacked, self._work)
         if factors is None:
             inner, P, r_minus_c = _direct_pair_weights(T, link.noise)
+            mi = np.log2(K) - np.mean(inner)
         else:
             inner, e, X, Xe = factors
-            P, r_minus_c = _factored_pair_weights(e, X, Xe)
-        mi = np.log2(K) - np.mean(inner)
+            mi = np.log2(K) - np.mean(inner)  # read before the weights reuse its slot
+            P, r_minus_c = _factored_pair_weights(e, X, Xe, self._work[2:])
         term_u = np.sqrt(self.p1) * _weighted_pair_sum(link.gram, S, self.signals_h, P) @ v
         M = r_minus_c @ link.z
         n_tx = S.shape[0]
@@ -921,9 +932,11 @@ def power_sweep_rounding(
     if not _is_rank_one(lam, params.rank_tol):
         candidates = np.concatenate([candidates, directions])
     trace_w = float(np.clip(np.real(np.trace(W_star)), n_tx / _POWER_GRID, n_tx))
-    t_grid = np.unique(
-        np.concatenate([np.linspace(n_tx / _POWER_GRID, n_tx, _POWER_GRID), [trace_w]])
-    )
+    # The sorted grid plus tr(W_star), once: what np.unique gives, without
+    # the numpy.ma import it makes on first use.
+    t_grid = np.linspace(n_tx / _POWER_GRID, n_tx, _POWER_GRID)
+    if not np.any(t_grid == trace_w):
+        t_grid = np.sort(np.append(t_grid, trace_w))
     scale = -0.5 * cache.p1
     best_vec, best_val = None, -np.inf
     for start in range(0, len(candidates), _SWEEP_BLOCK):

@@ -95,6 +95,8 @@ def test_config_error_exit_code(tmp_path):
         "n_samp = 1e2",
         "snr_db_grid = abc",
         "snr_db_grid = nan",
+        "snr_db_grid = 4000",
+        "snr_db_grid = -4000",
         "gd.max_iters = 2.5",
         "sca.inner_max = 2.5",
         "n_tx_grid = 4, 8.5",

@@ -150,8 +150,6 @@ def test_asr_clamp(instance):
     # eavesdropper outgains the target when the roles are reversed
     swapped = QuadFormCache(
         signals=cache.signals,
-        gram_b=cache.gram_e,
-        gram_e=cache.gram_b,
         p1=cache.p1,
         n_tx=cache.n_tx,
         M=cache.M,
