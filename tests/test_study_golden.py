@@ -15,7 +15,12 @@ narrowed to 2 channels:
 The first three keys were written at commit c4b90ce, before the
 Monte-Carlo kernel was factored; the two ``*_wide`` keys at commit 78f95fa,
 before ASR-GD evaluated its value and gradient in one pass.  Both with
-Python 3.11.7, numpy 2.4.6 and scipy 1.17.1.  Running this file as a script
+Python 3.11.7, numpy 2.4.6 and scipy 1.17.1.  The four ``max-asr-sca`` rows
+of ``sr_vs_snr`` were re-frozen at commit e9c9f7d (Python 3.11.7, numpy
+2.4.6), when each link's Gram came to be taken from its whitened channel
+and the AN projector from a numpy solve: SCA's output is defined only to
+its solver tolerances, and those rows moved by up to 1.67e-8 relative while
+every other value moved by at most 8.4e-15.  Running this file as a script
 adds the keys the file lacks and leaves the others as they are.  Rates must
 match to 1e-9 relative (floating-point sums may reorder across kernels and
 library versions); iteration counts must match exactly.
