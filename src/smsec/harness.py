@@ -33,7 +33,7 @@ import numpy.random  # numpy loads it on first use; every study draws from it
 
 from .complexity import ComplexityInputs, FlopMethod, flops
 from .errors import ConfigError
-from .metrics import asr, build_cache, secrecy_rate_mc
+from .metrics import _std_error, asr, build_cache, secrecy_rate_mc
 from .model import ChannelPair, PowerConfig, Scheme, an_projector, make_codebook, sample_channel
 from .optim import (
     GDParams,
@@ -403,14 +403,13 @@ def run_sr_vs_snr(config: ExperimentConfig) -> list[dict]:
             values = samples[(si, method)]
             sr = np.array([s for s, _, _ in values])
             bound = np.array([a for _, a, _ in values])
-            std_err = float(np.std(sr, ddof=1) / np.sqrt(len(sr))) if len(sr) > 1 else 0.0
             rows.append(
                 {
                     "snr_db": snr_db,
                     "method": method.value,
                     "mean_sr_mc": float(np.mean(sr)),
                     "mean_asr": float(np.mean(bound)),
-                    "std_err": std_err,
+                    "std_err": _std_error(sr),
                 }
             )
     return rows

@@ -33,51 +33,49 @@ is a difference of entries of one K x K Gram matrix,
 
 so all K^2 quadratic forms cost O(K N_t^2 + K^2 N_t) in this form.
 
-Every closed-form *vector* quantity is taken from the received
-constellation.  With F = Q^{-1/2} C the whitened channel (N x N_t) and
-t_k = sqrt(p1) F diag(v) s_k the noise-free received points, the scaled
-quadratic form p1 v^H A_{kk'} v is ||t_k - t_k'||^2, a pairwise distance
-of the N x K matrix T.  ``_constellation_terms`` takes all K^2 of them from
-one real K x K Gram of the stacked points [Re T; Im T], so ``asr``,
-``link_rate_approx`` and ASR-GD's value and gradient (``smsec.optim``) cost
-O(K^2 N + K N N_t) per link; N, the link's receive antennas, is small.
-:class:`QuadFormCache` is built from S and each link's F alone; it derives
-S^H, each link's N_t x N_t Gram R = F^H F and the rank bound min(N, N_t)
-from them, so one whitening per link (an eigendecomposition of Q, in
-:func:`whiten`) serves every kernel, and the module needs only numpy.
+Every *vector* quantity is taken from the received constellation.  With
+F = Q^{-1/2} C the whitened channel (N x N_t) and t_k = sqrt(p1) F diag(v) s_k
+the noise-free received points, the scaled quadratic form p1 v^H A_{kk'} v
+is ||t_k - t_k'||^2, a pairwise distance of the N x K matrix T.  One kernel,
+``_sq_distances``, takes all K^2 of them (times a scale) from one real
+K x K Gram of the stacked points [Re T; Im T], in O(K^2 N) per link; N, the
+link's receive antennas, is small.  ``_constellation_terms`` turns them
+into the log terms of ``asr``, ``link_rate_approx`` and ASR-GD's value
+(``smsec.optim``), and the Monte-Carlo kernels below take them with scale
+-1.  The gradients of ASR-GD and SR-GD pull each pair's weight back through
+the same points (``_pair_pull`` in ``smsec.optim``), and the rounding sweep
+there scores each direction d on the points sqrt(p1) F diag(d) S: power t
+only scales every distance by t.  :class:`QuadFormCache` is built from S
+and each link's F alone; it derives S^H, each link's N_t x N_t Gram
+R = F^H F and the rank bound min(N, N_t) from them, so one whitening per
+link (an eigendecomposition of Q, in :func:`whiten`) serves every kernel,
+and the module needs only numpy.
 
 Lifted *matrices* keep the trace form.  Under W = v v^H each quadratic
 form is a trace, v^H A_{kk'} v = tr(W A_{kk'}), and G above is
 S^H (R * W^T) S: ``_pair_traces`` gives the K x K traces of any Hermitian
 W and ``_lifted_eval`` their per-symbol log terms with the row-softmax
-weights.  ``relaxed_asr``, the SCA iterates and the rounding sweep use
-them, and every lifted pair gradient (and SR-GD's pair term) comes from
-the weighted-sum kernel ``_weighted_pair_sum`` in ``smsec.optim``.  At
-W = v v^H the two forms agree to rounding.
+weights.  Only true lifted W use them (``relaxed_asr``, the SCA iterates
+and the paper-indexed ``f1``/``f2``/``grad_f1``), and every lifted pair
+gradient comes from the weighted-sum kernel ``_weighted_pair_sum`` in
+``smsec.optim``.  At W = v v^H the two forms agree to rounding.
 
 The lifted log-sum-exps are evaluated with max-shifting so that high
 signal-to-noise ratios do not underflow; a lifted W need not be PSD (FISTA
 extrapolates), so a row's largest exponent is not known in advance.  The
 vector ones need no shift: every exponent c ||t_k - t_k'||^2 (c < 0) has
-an exactly zero diagonal in ``_constellation_terms``, so each row sum is
-at least 1 and its log2 is finite and nonnegative.  The rounding power sweep in
-``smsec.optim`` evaluates the rows x_kk' = c (t q_kk') / ln 2 of one
-direction at many powers t > 0, with q its pair traces and c = -p1/2 <= 0.
-It takes each row maximum once per direction, as c (t min_k' q_kk') / ln 2,
-instead of once per power, and that is exact: every rounded operation
-(t q, then c times it, then the division by ln 2) is monotone in its
-operand, so the rounded x_kk' never increases with q_kk' and the row's
-largest x is the one at its smallest q, bit for bit.
+an exactly zero diagonal in ``_sq_distances``, so each row sum is at least
+1 and its log2 is finite and nonnegative, at every power of the sweep too.
 
 The Monte-Carlo estimate rests on the same pairwise structure.  With
 F = Q^{-1/2} C the whitened channel, T = sqrt(p1) F diag(v) S (N x K) the
 noise-free received points t_k, and u = 2 Re(noise conj(T)) (S x K) for S
 noise samples w_s, the exponent of pair (a, b) under sample s is
 
-    E_sab = ||w_s||^2 - ||t_a - t_b + w_s||^2 = u_sb - u_sa - pairwise(T^H T)_ab,
+    E_sab = ||w_s||^2 - ||t_a - t_b + w_s||^2 = u_sb - u_sa - ||t_a - t_b||^2,
 
 which separates: sum_b exp(E_sab) = exp(-u_sa) sum_b X_ab exp(u_sb) with
-X = exp(-pairwise(T^H T)) (K x K, unit diagonal).  The kernel
+X_ab = exp(-||t_a - t_b||^2) (K x K, unit diagonal).  The kernel
 (``_mc_factors``) shifts each sample by c_s = max_b u_sb, takes the S K
 exponentials e = exp(u - c) and gets every row sum from one K x K by
 K x S matrix product, as 1 + (X' e)_as / e_as with X' the off-diagonal
@@ -171,16 +169,18 @@ class QuadFormCache:
     ``signals`` is the SM signal matrix S (N_t x K), column k the symbol
     s_k in antenna-major order.  ``factor_b``/``factor_e`` are the whitened
     channels F = Q^{-1/2} C (N x N_t) of the legitimate / eavesdropper link,
-    from which the vector kernels (``asr``, ``link_rate_approx``, ASR-GD)
-    form the received points; they are the matrices the Monte-Carlo rate
-    whitens with, bit for bit.  Everything else is derived from them at
-    construction: ``gram_b``/``gram_e`` are the Grams R = F^H F = C^H Q^{-1} C
-    (their Hermitian part, :func:`_factor_gram`), which the lifted kernels
-    take, and ``signals_h`` is S^H, so that the pair kernels do not
-    conjugate S on every call.  ``dataclasses.replace`` with new factors
-    therefore rederives both Grams.  The pair matrix of symbols (k, k') on a
-    link is R * conj(d d^H) with d = s_k - s_k'; the kernels never form it,
-    and :meth:`pair_matrix` builds one on demand for checks.  The arrays
+    from which every vector kernel (``asr``, ``link_rate_approx``, ASR-GD
+    and the rounding sweep) forms the received points; they are the
+    matrices the Monte-Carlo rate whitens with, bit for bit.  Everything
+    else is derived from them at construction: ``gram_b``/``gram_e`` are the
+    Grams R = F^H F = C^H Q^{-1} C (their Hermitian part,
+    :func:`_factor_gram`), which only the lifted kernels of a matrix W take
+    (``relaxed_asr``, SCA, ``f1``/``f2``/``grad_f1``), and ``signals_h`` is
+    S^H, so that the pair kernels do not conjugate S on every call.
+    ``dataclasses.replace`` with new factors therefore rederives both Grams.
+    The pair matrix of symbols (k, k') on a link is R * conj(d d^H) with
+    d = s_k - s_k'; the kernels never form it, and :meth:`pair_matrix`
+    builds one on demand for checks.  The arrays
     take O(N_t K + N_t^2 + N N_t) memory.  Immutable after construction;
     safe to share across threads.
     """
@@ -319,20 +319,6 @@ def build_cache(
     )
 
 
-def _pairwise(G: np.ndarray) -> np.ndarray:
-    """Re(G_aa + G_bb - G_ab - G_ba) for every (a, b), shape (..., K, K).
-
-    For G = S^H M S this is Re d^H M d with d = s_a - s_b: the pairwise
-    distances that M induces between the columns of S.  A leading stack axis
-    is carried through.
-    """
-    g = G.diagonal(axis1=-2, axis2=-1).real
-    out = g[..., :, None] + g[..., None, :]
-    real = G.real
-    out -= real + real.swapaxes(-1, -2)
-    return out
-
-
 def _row_log2sumexp2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-row log2 sum_k' 2^x_kk' (shape (K,)) and the row-softmax weights.
 
@@ -358,10 +344,15 @@ def _pair_traces(cache: QuadFormCache, side: str, W: np.ndarray) -> np.ndarray:
     tr(W A_{kk'}) = d^H (R * W^T) d with d = s_k - s_k', so all K^2 traces
     are pairwise distances under one K x K Gram matrix S^H (R * W^T) S.  A
     stack of matrices W (shape (B, N_t, N_t)) gives a stack of traces, each
-    equal to the traces of its own matrix.
+    equal to the traces of its own matrix.  Each trace is
+    Re(G_kk + G_k'k' - G_kk' - G_k'k) of that Gram G.
     """
-    lifted = cache.gram(side) * W.swapaxes(-1, -2)
-    return _pairwise(cache.signals_h @ lifted @ cache.signals)
+    G = cache.signals_h @ (cache.gram(side) * W.swapaxes(-1, -2)) @ cache.signals
+    g = G.diagonal(axis1=-2, axis2=-1).real
+    out = g[..., :, None] + g[..., None, :]
+    real = G.real
+    out -= real + real.swapaxes(-1, -2)
+    return out
 
 
 def _lifted_eval(
@@ -381,25 +372,39 @@ def _lifted_eval(
     return _row_log2sumexp2(x)
 
 
+def _sq_distances(T: np.ndarray, scale: float) -> np.ndarray:
+    """scale * ||t_a - t_b||^2 for every pair of columns of T, shape (..., K, K).
+
+    ``T`` holds points t_k as columns (N x K), with an optional leading
+    stack axis that is carried through.  With the real stacked points
+    Z = [Re T; Im T] (2N x K), G = Z^T Z (one real product) and sq = diag G,
+    the result is scale sq_a + scale sq_b - 2 scale G_ab, formed in place.
+    Its diagonal is exactly 0: -2 scale is an exact doubling of scale, so
+    scale sq_a twice cancels -2 scale sq_a to the bit.  ``scale`` is
+    ``_EXP2_SCALE`` for the base-2 exponents of the closed form and -1.0 for
+    the natural ones of the Monte-Carlo kernels.  O(K^2 N) time.
+    """
+    Z = np.concatenate([T.real, T.imag], axis=-2)
+    # A general product: BLAS's A^T A routine is slower at this size.
+    x = Z.swapaxes(-1, -2).copy() @ Z
+    half = scale * x.diagonal(0, -2, -1)  # taken before x is overwritten
+    x *= -2.0 * scale
+    x += half[..., None]
+    x += half[..., None, :]
+    return x
+
+
 def _constellation_terms(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-point log2 sum_b exp(-||t_a - t_b||^2 / 2) of the columns of T, and the row softmax.
 
-    ``T`` holds the received points t_k as columns (N x K).  With the real
-    stacked points Z = [Re T; Im T] (2N x K), G = Z^T Z (one real product)
-    and sq = diag G, the exponents in base 2 are
-    x_ab = c sq_a + c sq_b - 2c G_ab with c = -1/(2 ln 2).  The diagonal
-    x_aa is exactly 0 (2c is an exact doubling of c, so c sq_a twice cancels
-    -2c sq_a to the bit), hence every row sum is at least 1 and no max
-    shift is needed.  Returns the K log terms and the K x K weights
+    ``T`` holds the received points t_k as columns (N x K).  The exponents
+    in base 2 are x = :func:`_sq_distances` (T, c) with c = -1/(2 ln 2),
+    whose diagonal is exactly 0, hence every row sum is at least 1 and no
+    max shift is needed.  Returns the K log terms and the K x K weights
     2^x_ab / rowsum_a, which are the derivatives of each log term with
     respect to its row of x (up to the factor ln 2).  O(K^2 N) time.
     """
-    Z = np.concatenate([T.real, T.imag])
-    x = Z.T.copy() @ Z  # a general product: BLAS's A^T A routine is slower at this size
-    half = _EXP2_SCALE * x.diagonal()  # c sq, taken before x is overwritten
-    x *= -2.0 * _EXP2_SCALE
-    x += half[:, None]
-    x += half
+    x = _sq_distances(T, _EXP2_SCALE)
     e = np.exp2(x, out=x)
     sums = e.sum(axis=1)
     e *= np.reciprocal(sums)[:, None]
@@ -509,15 +514,16 @@ def _mc_exponentials(T: np.ndarray, noise: np.ndarray) -> np.ndarray:
     the noise-free received points t_k as columns (N x K) and ``noise`` the
     whitened samples w_s as rows (S x N).  The exponent is
     E_sab = ||w_s||^2 - ||t_a - t_b + w_s||^2 = u_sb - u_sa - ||t_a - t_b||^2
-    with u = 2 Re(noise conj(T)).  It is bounded above by ||w_s||^2, so for
-    CN(0, I) samples exp cannot overflow and needs no max shift; the
-    diagonal E_saa is exactly 0, so each row sum over b is at least 1.  The
+    with u = 2 Re(noise conj(T)), the distances from :func:`_sq_distances`.
+    It is bounded above by ||w_s||^2, so for CN(0, I) samples exp cannot
+    overflow and needs no max shift; the diagonal E_saa is exactly 0, so
+    each row sum over b is at least 1.  The
     samples are the innermost axis, so every elementwise pass and every sum
     over a or b runs along contiguous rows of length S however small K is.
     """
     u = 2 * np.real(T.conj().T @ noise.T)  # (K, S)
     expo = u[None, :, :] - u[:, None, :]
-    expo -= _pairwise(T.conj().T @ T)[:, :, None]
+    expo += _sq_distances(T, -1.0)[:, :, None]
     return np.exp(expo, out=expo)
 
 
@@ -534,7 +540,8 @@ def _mc_factors(
     ``T`` holds the received points as columns (N x K) and ``stacked`` the
     noise as :func:`_stacked_noise` returns it.  With u = 2 Re(T^H W)
     (K x S), c_s = max_b u_sb, e = exp(u - c) and X = exp(-D),
-    D = pairwise(T^H T), with its unit diagonal zeroed, the row sums of
+    D_ab = ||t_a - t_b||^2 (:func:`_sq_distances`), with its unit diagonal
+    zeroed, the row sums of
     exp(E_sab) = exp(u_sb - u_sa - D_ab) are
 
         sum_b exp(E_sab) = (e_as + (X e)_as) / e_as = 1 + (X e)_as / e_as,
@@ -555,7 +562,7 @@ def _mc_factors(
         return None
     u -= top
     e = np.exp(u, out=u)
-    X = np.exp(-_pairwise(T.conj().T @ T))
+    X = np.exp(_sq_distances(T, -1.0))
     np.fill_diagonal(X, 0.0)
     Xe = np.matmul(X, e, out=xe_out)
     inner = np.divide(Xe, e, out=inner_out)

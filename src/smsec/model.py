@@ -271,9 +271,10 @@ def _noiseless_points(C: np.ndarray, v: np.ndarray, signals: np.ndarray, p1: flo
 
     ``signals`` is the SM signal matrix (N_t x K); the columns are the ML
     candidate set and the points whose pairwise distances drive the
-    Monte-Carlo mutual information.
+    Monte-Carlo mutual information.  A stack of precoders v (B x N_t) gives
+    a stack of point sets (B x N x K).
     """
-    return np.sqrt(p1) * (C @ (v[:, None] * signals))
+    return np.sqrt(p1) * (C @ (v[..., :, None] * signals))
 
 
 def ml_detect(

@@ -23,14 +23,16 @@ Three methods under the power constraint tr(v v^H) <= N_t:
   :func:`power_sweep_rounding` recovers a rank-one precoder from the
   solution by Gaussian randomization with a transmit-power line search.
 
-No kernel forms a pair matrix A_{kk'}.  The vector objective of ASR-GD is
-taken from each link's received points T = sqrt(p1) F diag(v) S
-(``_constellation_terms`` in ``smsec.metrics``), a pairwise distance over
-one real K x K Gram of T.  The lifted quantities of SCA and rounding use
-``_pair_traces`` (the pair values tr(W A_{kk'}) over one K x K Gram of the
-SM signal matrix S) and :func:`_weighted_pair_sum`, the softmax-weighted
-sums of the A_{kk'} that every lifted pair gradient is built from.  SR-GD's
-pair term is the same weighted sum over its link's Gram.
+No kernel forms a pair matrix A_{kk'}.  Every rank-one quantity is taken
+from each link's received points T = sqrt(p1) F diag(v) S, whose pairwise
+distances one real K x K Gram of T gives (``_sq_distances`` in
+``smsec.metrics``): ASR-GD's value, the Monte-Carlo rate of SR-GD, the pair
+term of both gradients (:func:`_pair_pull`) and the rounding sweep, which
+scores each direction d at every power on the points of F diag(d) S.  Only
+the true lifted W of SCA use ``_pair_traces`` (the pair values
+tr(W A_{kk'}) over one K x K Gram of the SM signal matrix S) and
+:func:`_weighted_pair_sum`, the softmax-weighted sums of the A_{kk'} that
+every lifted pair gradient is built from.
 
 Objectives are optimized unclamped; the [.]^+ floor applies only to
 reported secrecy rates (clamping would kill gradients wherever the
@@ -46,15 +48,16 @@ from time import perf_counter
 
 import numpy as np
 
+from .errors import NumericalError
 from .metrics import (
+    _EXP2_SCALE,
     _complex_noise,
     _constellation_terms,
-    _factor_gram,
     _lifted_eval,
     _link_pair_setup,
     _mc_exponentials,
     _mc_factors,
-    _pair_traces,
+    _sq_distances,
     _stacked_noise,
     QuadFormCache,
     asr,  # not called here; tracing patches smsec.optim.asr, so the name stays
@@ -249,7 +252,7 @@ def _asr_value_and_gradient(
     conj(s_a - s_b) * F^H (t_a - t_b) with P the row softmax.  Summed over a,
     that is -sqrt(p1) / (2 ln 2) rowsum(conj(S) * F^H (T L)), with
     L = diag(r + c) - P - P^T and r, c the row and column sums of P
-    (:func:`_constellation_pull`).  The gradient is the eavesdropper's term
+    (:func:`_pair_pull`).  The gradient is the eavesdropper's term
     minus the legitimate one's, over K.  The pair costs O(K^2 N + K N N_t)
     with K = M*N_t and N the link's receive antennas; the lifted form at
     W = v v^H costs O(K N_t^2 + K^2 N_t) and agrees to rounding.
@@ -265,28 +268,41 @@ def _asr_value_and_gradient(
 def _constellation_pull(
     cache: QuadFormCache, F: np.ndarray, v: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Log terms of the link with whitened channel ``F`` at v, and rowsum(conj(S) * F^H (T L)).
+    """Log terms of the link with whitened channel ``F`` at v, and their :func:`_pair_pull`.
 
-    T is the link's received points (N x K) and L = diag(r + c) - P - P^T
-    for the row softmax P of :func:`_constellation_terms`.  The diagonal of
-    P is dropped first, for the reason :func:`_weighted_pair_sum` gives.
-    T L is formed on the real stacked points Z = [Re T; Im T] as
-    Z (r + c) - Z P - Z P^T, so P is never cast to complex.  The row sum is
-    taken in the equal order colsum(conj(F) * ((T L) S^H)), whose
-    temporaries are N x N_t instead of N_t x K.
+    The weights are the row softmax P of :func:`_constellation_terms` on the
+    link's received points, with the diagonal dropped first for the reason
+    :func:`_weighted_pair_sum` gives.
     """
     T = _noiseless_points(F, v, cache.signals, cache.p1)
     inner, P = _constellation_terms(T)
-    K = P.shape[0]
-    P.reshape(-1)[:: K + 1] = 0.0
-    ones = np.ones(K)
+    P.reshape(-1)[:: P.shape[0] + 1] = 0.0
+    return inner, _pair_pull(T, P, F, cache.signals_h)
+
+
+def _pair_pull(T: np.ndarray, P: np.ndarray, F: np.ndarray, S_h: np.ndarray) -> np.ndarray:
+    """sum_ab P_ab conj(s_a - s_b) * F^H (t_a - t_b) for K x K weights P, shape (N_t,).
+
+    ``T`` holds a link's received points t_k (N x K), ``F`` is its whitened
+    channel and ``S_h`` is S^H.  The sum is rowsum(conj(S) * F^H (T L)) with
+    L = diag(r + c) - P - P^T and r, c the row and column sums of P.  Since
+    t_a - t_b = sqrt(p1) F diag(s_a - s_b) v, it equals
+    sqrt(p1) (sum_ab P_ab A_ab) v, the lifted weighted sum
+    (:func:`_weighted_pair_sum`) applied to v, in O(K^2 N + K N N_t) instead
+    of O(K^2 N_t + K N_t^2).  T L is formed on the real stacked points
+    Z = [Re T; Im T] as Z (r + c) - Z P - Z P^T, so P is never cast to
+    complex.  The row sum is taken in the equal order
+    colsum(conj(F) * ((T L) S^H)), whose temporaries are N x N_t instead of
+    N_t x K.  ASR-GD and SR-GD take their pair terms from it.
+    """
+    ones = np.ones(P.shape[0])
     Z = np.concatenate([T.real, T.imag])
     ZL = Z * (P @ ones + ones @ P)
     ZL -= Z @ P
     ZL -= Z @ P.T
     N = T.shape[0]
-    LS = ZL @ cache.signals_h  # [Re(T L); Im(T L)] S^H, 2N x N_t
-    return inner, np.sum(F.conj() * (LS[:N] + 1j * LS[N:]), axis=0)
+    LS = ZL @ S_h  # [Re(T L); Im(T L)] S^H, 2N x N_t
+    return np.sum(F.conj() * (LS[:N] + 1j * LS[N:]), axis=0)
 
 
 def _weighted_pair_sum(
@@ -302,9 +318,9 @@ def _weighted_pair_sum(
     dropping it spares the identities a cancellation of two O(1) terms when
     the softmax weight sits on the diagonal (high SNR).  The lifted pair
     gradients come from this sum (:func:`_lifted_grad` for the SCA
-    iterates, :func:`grad_f1`), and so does SR-GD's pair term with
-    R = F^H F.  It costs O(K^2 N_t + K N_t^2).  ASR-GD does not use it: its
-    gradient is taken on the received points (:func:`_constellation_pull`).
+    iterates, :func:`grad_f1`).  It costs O(K^2 N_t + K N_t^2).  The
+    gradients of a vector v (ASR-GD, SR-GD) do not use it: they take the
+    same sum applied to v on the received points (:func:`_pair_pull`).
     """
     K = P.shape[0]
     P = P.copy()
@@ -391,17 +407,14 @@ def max_asr_gd(cache: QuadFormCache, v0: np.ndarray, params: GDParams) -> OptTra
 class _FrozenLink:
     """One link of :class:`_SampledSecrecyObjective`: whitened channel and frozen noise.
 
-    ``F`` is the whitened channel (N x N_t) and ``gram`` its Gram F^H F, the
-    link's C^H Q^{-1} C, as :class:`~smsec.metrics.QuadFormCache` derives
-    it; ``noise`` the samples w_s as rows (S x N),
-    ``stacked`` the same samples as the real (2N x S) array the factored
-    kernel takes, and ``z`` the rows z_s = F^H w_s as the real S x 2N_t
-    array [Re z, Im z], so the gradient contracts it with one real matrix
-    product.
+    ``F`` is the whitened channel (N x N_t), ``noise`` the samples w_s as
+    rows (S x N), ``stacked`` the same samples as the real (2N x S) array
+    the factored kernel takes, and ``z`` the rows z_s = F^H w_s as the real
+    S x 2N_t array [Re z, Im z], so the gradient contracts it with one real
+    matrix product.
     """
 
     F: np.ndarray
-    gram: np.ndarray
     noise: np.ndarray
     stacked: np.ndarray
     z: np.ndarray
@@ -412,7 +425,6 @@ class _FrozenLink:
         z = noise @ F.conj()
         return cls(
             F=F,
-            gram=_factor_gram(F),
             noise=noise,
             stacked=_stacked_noise(noise),
             z=np.hstack([z.real, z.imag]),
@@ -504,9 +516,9 @@ class _SampledSecrecyObjective:
         # alpha = sqrt(p1) F diag(d) v has
         # dE/d(conj v) = -sqrt(p1) conj(d) * (F^H alpha + z_s) elementwise.
         # Weighting by the softmax w of E and summing over the pairs, the
-        # F^H alpha part is sqrt(p1) (sum_ab P_ab A_ab) v with P = sum_s w and
-        # A_ab the pair matrices of the link's Gram F^H F: _weighted_pair_sum
-        # applied to v.  The z_s part is sum_s z_s * (conj(S) (r_s - c_s))
+        # F^H alpha part is sum_ab P_ab conj(d) * F^H (t_a - t_b) with
+        # P = sum_s w, as alpha = t_a - t_b: the _pair_pull of the received
+        # points T.  The z_s part is sum_s z_s * (conj(S) (r_s - c_s))
         # with r, c the row and column sums of w, taken as
         # rowsum(conj(S) * M^T) with M = (r - c) z (K x N_t).  The diagonal
         # (d = 0) is dropped before summing: it adds nothing, but at high SNR
@@ -525,7 +537,7 @@ class _SampledSecrecyObjective:
             inner, e, X, Xe = factors
             mi = np.log2(K) - np.mean(inner)  # read before the weights reuse its slot
             P, r_minus_c = _factored_pair_weights(e, X, Xe, self._work[2:])
-        term_u = np.sqrt(self.p1) * _weighted_pair_sum(link.gram, S, self.signals_h, P) @ v
+        term_u = _pair_pull(T, P, link.F, self.signals_h)
         M = r_minus_c @ link.z
         n_tx = S.shape[0]
         term_z = np.sum(S.conj() * (M[:, :n_tx] + 1j * M[:, n_tx:]).T, axis=1)
@@ -627,7 +639,7 @@ def _hermitian_part(W: np.ndarray, rel_tol: float, message: str) -> np.ndarray:
     if not size < math.inf:
         if not np.all(np.isfinite(W)):
             raise ValueError("matrix must be finite (it has a nan or infinite entry)")
-        raise ValueError("matrix is too large: its squared Frobenius norm overflows")
+        raise _ScaleError("matrix is too large: its squared Frobenius norm overflows")
     W_h = W.conj().T
     drift = W - W_h
     if not np.vdot(drift, drift).real <= rel_tol * rel_tol * max(1.0, size):
@@ -637,23 +649,31 @@ def _hermitian_part(W: np.ndarray, rel_tol: float, message: str) -> np.ndarray:
     return out
 
 
+class _ScaleError(ValueError):
+    """A matrix too large for the spectrahedron projection in double precision."""
+
+
 def _project_capped_simplex(lam: np.ndarray, budget: float) -> np.ndarray:
     """Euclidean projection of lam onto {x >= 0, sum(x) = budget}.
 
     In exact arithmetic the largest entry always passes the threshold test.
     In floating point none does once the entries dwarf the budget (about
-    1e16 times it), since each test then cancels to 0; that raises
-    ``ValueError``.
+    1e16 times it), since each test then cancels to 0; near that scale a
+    test can also pass on a cancelled sum, and the shift then leaves a sum
+    far above the budget.  Both raise ``ValueError``: the result's sum may
+    exceed the budget by at most 1e-9 relative, the trace slack of
+    :func:`_check_feasible`.  On the normal path it stays within 1e-15.
     """
     srt = np.sort(lam)[::-1]
     css = np.cumsum(srt)
     j = np.arange(1, len(lam) + 1)
     valid = np.flatnonzero(srt - (css - budget) / j > 0)
-    if valid.size == 0:
-        raise ValueError(f"spectrum too large to project onto trace budget {budget!r}")
-    rho = int(valid[-1])
-    tau = (css[rho] - budget) / (rho + 1)
-    return np.clip(lam - tau, 0.0, None)
+    if valid.size:
+        rho = int(valid[-1])
+        out = np.clip(lam - (css[rho] - budget) / (rho + 1), 0.0, None)
+        if out.sum() <= budget * (1 + 1e-9):
+            return out
+    raise _ScaleError(f"spectrum too large to project onto trace budget {budget!r}")
 
 
 def _check_feasible(W: np.ndarray, budget: float, slack: float = 1e-6) -> None:
@@ -782,7 +802,10 @@ def max_asr_sca(
     :func:`power_sweep_rounding` for randomized rounding), whose
     ``stop_reason`` is ``"tol"`` or ``"max_iters"`` and whose
     ``inner_steps`` counts the spectrahedron projections of all
-    subproblems.
+    subproblems.  Raises :class:`~smsec.errors.NumericalError` when a
+    subproblem meets a matrix too large to project onto the budget in double
+    precision, which extreme SNR (about 160 dB and up at the
+    ``configs/benchmark.cfg`` shape) brings about.
     """
     start = perf_counter()
     v0 = _check_start(v0, cache.n_tx)
@@ -792,7 +815,10 @@ def max_asr_sca(
     iterations = 0
     projections: list[int] = []
     for _ in range(params.max_outer):
-        W = solve_sca_subproblem(cache, W, params, projections=projections)
+        try:
+            W = solve_sca_subproblem(cache, W, params, projections=projections)
+        except _ScaleError as exc:  # the gradient outgrew the budget's precision
+            raise NumericalError(f"SCA cannot project its iterate: {exc}") from exc
         history.append(relaxed_asr(cache, W))
         iterations += 1
         if abs(history[-1] - history[-2]) <= params.tol:
@@ -870,26 +896,19 @@ def _is_rank_one(lam: np.ndarray, rank_tol: float) -> bool:
     return lam[-1] > 0 and (len(lam) == 1 or lam[-2] / lam[-1] <= rank_tol)
 
 
-def _swept_log_terms(traces: np.ndarray, t_grid: np.ndarray, scale: float) -> np.ndarray:
-    """``log2sumexp2(x, axis=-1)`` of x = scale * (t * q) / ln 2 for every power t.
+def _swept_log_terms(T: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
+    """log2 sum_b 2^(t x_ab) at every power t for the received points ``T`` of B directions.
 
-    ``traces`` holds the pair traces q of B directions (B, K, K), ``t_grid``
-    the T powers t > 0 and ``scale`` = -p1/2 <= 0; the result has shape
-    (B, T, K).  Each row maximum is scale * (t * min_k' q_kk') / ln 2, which
-    is exact because x never increases with q (see
-    :func:`power_sweep_rounding`).
+    ``T`` holds the points of each unit direction d, sqrt(p1) F diag(d) S
+    (B x N x K), and x = :func:`_sq_distances` (T, c) with c = -1/(2 ln 2)
+    their base-2 exponents at unit power; at power t every squared distance
+    scales by t.  ``t_grid`` holds the powers t > 0 and the result has shape
+    (B, len(t_grid), K).  The diagonal of t x is exactly 0, so every row sum
+    is at least 1 and needs no max shift.
     """
-    x = np.einsum("t,bij->btij", t_grid, traces)  # t * q, with no broadcast buffer
-    x *= scale
-    x /= _LN2
-    top = t_grid[:, None] * traces.min(axis=-1)[:, None]
-    top *= scale
-    top /= _LN2
-    x -= top[..., None]
+    x = np.einsum("t,bij->btij", t_grid, _sq_distances(T, _EXP2_SCALE))  # no broadcast buffer
     np.exp2(x, out=x)
-    out = np.log2(x.sum(axis=-1))
-    out += top
-    return out
+    return np.log2(x.sum(axis=-1))
 
 
 def power_sweep_rounding(
@@ -919,12 +938,10 @@ def power_sweep_rounding(
     eigenvalue, which SCA reaches when the relaxed optimum collapses to 0,
     sweeps the normalised all-ones direction and isotropic draws instead.
 
-    Directions are scored ``_SWEEP_BLOCK`` at a time, with their pair traces
-    stacked.  Each log-sum-exp is shifted by its row maximum, and since the
-    exponent -p1 t q / 2 never increases with the pair trace q, that maximum
-    is taken once per direction from the smallest trace of each row instead
-    of once per power (:func:`_swept_log_terms`); it is the same maximum to
-    the bit, so the values equal those of one ``log2sumexp2`` per power.
+    Directions are scored ``_SWEEP_BLOCK`` at a time on their stacked
+    received points F diag(d) S, the closed-form kernel of ``asr``: one real
+    K x K Gram per direction and link serves every power
+    (:func:`_swept_log_terms`).
     """
     n_tx = cache.n_tx
     lead, directions, lam = _rounding_directions(W_star, params.n_randomizations, rng)
@@ -937,13 +954,12 @@ def power_sweep_rounding(
     t_grid = np.linspace(n_tx / _POWER_GRID, n_tx, _POWER_GRID)
     if not np.any(t_grid == trace_w):
         t_grid = np.sort(np.append(t_grid, trace_w))
-    scale = -0.5 * cache.p1
+    S, p1 = cache.signals, cache.p1
     best_vec, best_val = None, -np.inf
     for start in range(0, len(candidates), _SWEEP_BLOCK):
         block = candidates[start : start + _SWEEP_BLOCK]
-        D = block[:, :, None] * block.conj()[:, None, :]
-        eve = _swept_log_terms(_pair_traces(cache, "eve", D), t_grid, scale)
-        bob = _swept_log_terms(_pair_traces(cache, "bob", D), t_grid, scale)
+        eve = _swept_log_terms(_noiseless_points(cache.factor_e, block, S, p1), t_grid)
+        bob = _swept_log_terms(_noiseless_points(cache.factor_b, block, S, p1), t_grid)
         values = np.mean(eve - bob, axis=-1)
         for direction, row, i in zip(block, values, values.argmax(axis=1)):
             if row[i] > best_val:

@@ -5,8 +5,8 @@ import pytest
 from scipy.special import softmax
 
 import smsec as S
-from smsec.metrics import log2sumexp2
-from smsec.optim import _lifted_grad, _pair_traces
+from smsec.metrics import _pair_traces, log2sumexp2
+from smsec.optim import _lifted_grad
 
 LN2 = math.log(2.0)
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,31 @@ def test_unparseable_config_exit_code(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("what even is this\n")
     assert main(["flops", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("snr_db,seed", [(200, None), (180, None), (160, 3)])
+def test_sca_at_extreme_snr_exits_3_with_one_line(snr_db, seed, tmp_path, capsys):
+    # The shipped config on one channel: SCA's iterates outgrow what the
+    # projection onto the power budget resolves in double precision.
+    root = Path(__file__).resolve().parents[1]
+    lines = (root / "configs" / "benchmark.cfg").read_text().splitlines()
+    replaced = {
+        "n_channels": "1",
+        "methods": "none, max-asr-sca",
+        "snr_db_grid": str(snr_db),
+    }
+    for i, line in enumerate(lines):
+        key = line.split("=")[0].strip()
+        if key in replaced:
+            lines[i] = f"{key} = {replaced[key]}"
+    config = tmp_path / "extreme.cfg"
+    config.write_text("\n".join(lines) + "\n")
+    argv = ["sr-vs-snr", "--config", str(config), "--out", str(tmp_path / "o")]
+    if seed is not None:
+        argv += ["--seed", str(seed)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure:")
 
 
 def test_numerical_failure_exit_code(config_file, tmp_path, monkeypatch):

@@ -2,11 +2,13 @@
 
 ``asr``, ``link_rate_approx`` and ASR-GD take every quadratic form from the
 received points T = sqrt(p1) F diag(v) S of each link
-(``_constellation_terms``); SCA and rounding keep the lifted traces at a
-matrix W.  At W = v v^H the two are the same quantity: the log terms must
-agree to 1e-12 relative and the ASR gradient to 1e-11.  The kernel needs no
-max shift because its exponent matrix has an exactly zero diagonal, and it
-must read the whitened channel the Monte-Carlo rate reads.
+(``_constellation_terms``); SCA keeps the lifted traces at a matrix W.  At
+W = v v^H the two are the same quantity: the log terms must agree to 1e-12
+relative and the ASR gradient to 1e-11.  The kernel needs no max shift
+because its exponent matrix has an exactly zero diagonal, and it must read
+the whitened channel the Monte-Carlo rate reads.  Its pairwise distances
+come from ``_sq_distances``, which every rank-one quantity shares; routing
+``_constellation_terms`` through it must not change one bit of its output.
 """
 
 import numpy as np
@@ -14,7 +16,14 @@ import pytest
 
 import smsec.metrics as metrics
 from smsec import asr, link_rate_approx
-from smsec.metrics import _constellation_terms, _lifted_eval, _link_pair_setup, relaxed_asr
+from smsec.metrics import (
+    _EXP2_SCALE,
+    _constellation_terms,
+    _lifted_eval,
+    _link_pair_setup,
+    _sq_distances,
+    relaxed_asr,
+)
 from smsec.model import _noiseless_points
 from smsec.optim import _asr_value_and_gradient, _lifted_grad, _SampledSecrecyObjective
 
@@ -55,6 +64,60 @@ def test_constellation_form_equals_the_lifted_form(n_tx, M, snr_db, n_b, n_e):
         _lifted_grad(cache, "eve", lifted["eve"][1]) - _lifted_grad(cache, "bob", lifted["bob"][1])
     ) @ v
     np.testing.assert_allclose(grad, want, rtol=1e-11, atol=0.0)
+
+
+def inplace_constellation_terms(T):
+    """``_constellation_terms`` as it was written before ``_sq_distances`` took its distances."""
+    Z = np.concatenate([T.real, T.imag])
+    x = Z.T.copy() @ Z
+    half = _EXP2_SCALE * x.diagonal()
+    x *= -2.0 * _EXP2_SCALE
+    x += half[:, None]
+    x += half
+    e = np.exp2(x, out=x)
+    sums = e.sum(axis=1)
+    e *= np.reciprocal(sums)[:, None]
+    return np.log2(sums, out=sums), e
+
+
+@pytest.mark.parametrize("n_tx,M,snr_db,n_b,n_e", cases())
+def test_shared_distance_kernel_keeps_every_bit(n_tx, M, snr_db, n_b, n_e):
+    cache, v = case_instance(n_tx, M, snr_db, n_b, n_e)
+    for side in SIDES:
+        T = received_points(cache, side, v)
+        for got, want in zip(_constellation_terms(T), inplace_constellation_terms(T)):
+            np.testing.assert_array_equal(got, want)
+
+
+SCALES = [0.0, 1e-150, 1e-3, 1.0, 1e4, 1e150, _EXP2_SCALE, -1.0, -1e150]
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_sq_distances_have_a_zero_diagonal_and_are_symmetric(scale):
+    # The diagonal cancels exactly.  The two row and column terms are added
+    # in opposite orders at (a, b) and (b, a), so the matrix is symmetric to
+    # the rounding of those additions, not to the bit.
+    rng = np.random.default_rng(11)
+    for n, K in [(1, 2), (2, 8), (3, 64), (6, 128)]:
+        T = rng.standard_normal((n, K)) + 1j * rng.standard_normal((n, K))
+        x = _sq_distances(T, scale)
+        assert np.all(np.diagonal(x) == 0.0)
+        sq = np.sum(np.abs(T) ** 2, axis=0)
+        want = scale * np.sum(np.abs(T[:, :, None] - T[:, None, :]) ** 2, axis=0)
+        bound = 4 * np.finfo(float).eps * abs(scale) * (sq[:, None] + sq[None, :])
+        assert np.all(np.abs(x - x.T) <= bound)
+        np.testing.assert_allclose(x, want, rtol=1e-10, atol=float(np.max(bound)) * 4)
+
+
+@pytest.mark.parametrize("scale", [_EXP2_SCALE, -1.0])
+def test_stacked_sq_distances_equal_the_per_item_loop(scale):
+    rng = np.random.default_rng(5)
+    for B, n, K in [(1, 2, 8), (4, 1, 8), (4, 2, 32), (3, 6, 128)]:
+        T = rng.standard_normal((B, n, K)) + 1j * rng.standard_normal((B, n, K))
+        got = _sq_distances(T, scale)
+        assert got.shape == (B, K, K)
+        for item, x in zip(T, got):
+            np.testing.assert_array_equal(x, _sq_distances(item, scale))
 
 
 class _Exp2Spy:

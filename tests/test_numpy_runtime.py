@@ -104,7 +104,6 @@ def test_cache_grams_are_the_hermitian_part_of_the_factor_grams(n_tx, n_b, n_e):
         gram = F.conj().T @ F
         assert np.array_equal(cache.gram(side), (gram + gram.conj().T) / 2)
         assert np.array_equal(link.F, F)
-        assert np.array_equal(link.gram, cache.gram(side))
         assert cache.noise_dim(side) == min(F.shape)
 
 
@@ -157,7 +156,7 @@ def allocating_mc_factors(T, stacked, work=None):
         return None
     u -= top
     e = np.exp(u, out=u)
-    X = np.exp(-metrics._pairwise(T.conj().T @ T))
+    X = np.exp(metrics._sq_distances(T, -1.0))
     np.fill_diagonal(X, 0.0)
     Xe = X @ e
     inner = Xe / e

@@ -1,12 +1,13 @@
 """The blocked power sweep of ``power_sweep_rounding`` against the per-direction loop.
 
-``power_sweep_rounding`` scores its directions a block at a time and takes
-each log-sum-exp's row maximum once per direction instead of once per
-power.  Both changes are exact, so it must return the vector the
-per-direction loop below returns, to the bit, and leave the generator in
-the same state.  The reference draws each Gaussian direction with its own
-pair of ``standard_normal(n)`` calls and scores it with one
-``log2sumexp2`` per link over the whole power grid.
+``power_sweep_rounding`` scores its directions a block at a time on their
+received constellations F diag(d) S.  The reference below is independent
+of that kernel: it draws each Gaussian direction with its own pair of
+``standard_normal(n)`` calls and scores it on the lifted pair traces of
+d d^H, with one max-shifted ``log2sumexp2`` per link over the whole power
+grid.  The two scores agree to rounding, which picks the same
+(direction, power) on every case here, so the sweep must return the
+reference's vector to the bit and leave the generator in the same state.
 """
 
 import math
@@ -17,6 +18,7 @@ import pytest
 
 from smsec import SCAParams, power_sweep_rounding
 from smsec.metrics import _pair_traces, log2sumexp2
+from smsec.model import _noiseless_points
 from smsec.optim import (
     _POWER_GRID,
     _is_rank_one,
@@ -30,7 +32,7 @@ from conftest import make_instance
 LN2 = math.log(2.0)
 
 SHAPES = [(4, 2), (8, 4), (16, 4)]
-SNRS_DB = [-40, 0, 15, 30]
+SNRS_DB = [-40, 0, 15, 30, 60, 90]
 KINDS = ["rank-one", "full-rank", "zero"]
 DRAWS = [0, 1, 100]
 
@@ -114,23 +116,28 @@ def test_sweep_equals_the_per_direction_loop(n_tx, M, snr_db, kind, draws):
     assert rng.random() == rng_ref.random()
 
 
-def test_hoisted_row_maximum_is_exact():
-    # Zeros, tiny negative traces (rounding can give them), huge ones, inf and
-    # nan; and p1 = 0, where every exponent is a signed zero.
-    rng = np.random.default_rng(4)
-    q = rng.exponential(size=(3, 8, 8)) * 10.0 ** rng.integers(-300, 300, size=(3, 8, 8))
-    q[:, range(8), range(8)] = 0.0
-    q[0, 1, 2] = -1e-17
-    q[0, 3, 4] = -5e-324
-    q[1, 2, 5] = np.inf
-    q[2, 6, 0] = np.nan
-    t_grid = np.unique(np.concatenate([np.linspace(4 / 64, 4, 64), [1.3]]))
-    for p1 in (0.5, 1e6, 0.0):
-        scale = -0.5 * p1
-        with np.errstate(invalid="ignore", over="ignore"):
-            want = log2sumexp2(scale * np.multiply.outer(t_grid, q) / LN2, axis=-1)
-            got = _swept_log_terms(q, t_grid, scale)
-        np.testing.assert_array_equal(got, want.swapaxes(0, 1))
+@pytest.mark.parametrize("p1", [0.5, 1e-3, 1e4, 0.0])
+@pytest.mark.parametrize("n_tx,M", SHAPES)
+def test_swept_log_terms_equal_the_lifted_log_sums(n_tx, M, p1):
+    # At every power t the sweep's log terms are those of the lifted traces
+    # q of d d^H at t d d^H; with p1 = 0 every term is exactly log2 K.
+    *_, cache = make_instance(seed=n_tx, n_tx=n_tx, M=M, p1=p1)
+    W = lifted_solution("full-rank", n_tx, seed=M)
+    lead, directions, _ = _rounding_directions(W, 5, np.random.default_rng(n_tx))
+    block = np.concatenate([lead[None], directions])
+    t_grid = np.unique(np.concatenate([np.linspace(n_tx / 64, n_tx, 64), [1.3]]))
+    for side in ("bob", "eve"):
+        T = _noiseless_points(cache.factor(side), block, cache.signals, cache.p1)
+        got = _swept_log_terms(T, t_grid)
+        assert got.shape == (len(block), len(t_grid), cache.n_signals)
+        D = block[:, :, None] * block.conj()[:, None, :]
+        q = _pair_traces(cache, side, D)
+        want = log2sumexp2(-0.5 * p1 * np.einsum("t,bij->btij", t_grid, q) / LN2, axis=-1)
+        if p1 == 0.0:
+            np.testing.assert_array_equal(got, np.log2(cache.n_signals))
+        # Each row sum is at least 1, so a log term is accurate to a few
+        # ulps of log2 near 1 (about 3e-16) however small it is.
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 16, 32, 64])

@@ -212,6 +212,11 @@ def test_projection_rejects_a_spectrum_that_dwarfs_the_budget():
     # cancels to 0 in double precision, so no index is valid.
     with pytest.raises(ValueError, match="too large to project"):
         project_spectrahedron(np.diag([1e17, 1e17]), 3.0)
+    # Here a test passes on a cancelled sum and the shift leaves the
+    # spectrum (0, 0, 4, 4): trace 8 against a budget of 3.
+    spectrum = [2.20201360e16, -1.28116851e15, 2.20201360e16, -1.43676296e16]
+    with pytest.raises(ValueError, match="too large to project"):
+        project_spectrahedron(np.diag(spectrum), 3.0)
     with pytest.raises(ValueError, match="too large to project"):
         _project_capped_simplex(np.array([1e160, 1e160]), 3.0)
     np.testing.assert_array_equal(
