@@ -67,16 +67,22 @@ vector ones need no shift: every exponent c ||t_k - t_k'||^2 (c < 0) has
 an exactly zero diagonal in ``_sq_distances``, so each row sum is at least
 1 and its log2 is finite and nonnegative, at every power of the sweep too.
 
-The Monte-Carlo estimate rests on the same pairwise structure.  With
-F = Q^{-1/2} C the whitened channel, T = sqrt(p1) F diag(v) S (N x K) the
-noise-free received points t_k, and u = 2 Re(noise conj(T)) (S x K) for S
-noise samples w_s, the exponent of pair (a, b) under sample s is
+The Monte-Carlo estimate rests on the same pairwise structure, and one
+code path serves the secrecy rate, ``mi_monte_carlo`` and SR-GD
+(``smsec.optim``).  A link is a :class:`_SampledLink`: its whitened channel
+F (from :func:`_whitened_channels`, which ``build_cache`` also uses) and S
+frozen noise samples w_s.  :func:`_sampled_links` draws both links of an
+evaluation from one seed (common random numbers).  With
+T = sqrt(p1) F diag(v) S (N x K) the noise-free received points t_k and
+u = 2 Re(T^H W) (K x S) for the samples W = [w_1 ... w_S], the exponent of
+pair (a, b) under sample s is
 
     E_sab = ||w_s||^2 - ||t_a - t_b + w_s||^2 = u_sb - u_sa - ||t_a - t_b||^2,
 
 which separates: sum_b exp(E_sab) = exp(-u_sa) sum_b X_ab exp(u_sb) with
-X_ab = exp(-||t_a - t_b||^2) (K x K, unit diagonal).  The kernel
-(``_mc_factors``) shifts each sample by c_s = max_b u_sb, takes the S K
+X_ab = exp(-||t_a - t_b||^2) (K x K, unit diagonal).  :func:`_mc_link`
+forms u once per link evaluation and takes every row sum from it.  The
+factored kernel shifts each sample by c_s = max_b u_sb, takes the S K
 exponentials e = exp(u - c) and gets every row sum from one K x K by
 K x S matrix product, as 1 + (X' e)_as / e_as with X' the off-diagonal
 part of X.  That is O(S K^2 + S K N) time, O(S K + K^2) memory and
@@ -84,18 +90,19 @@ O(S K + K^2) exponentials instead of S K^2 (see Blanchard, Higham &
 Higham, "Accurately computing the log-sum-exp and softmax functions",
 IMA J. Numer. Anal. 2021, for the shift).  The diagonal term is exactly 1
 in floating point, so every row sum is at least 1 and its log2 is finite
-and nonnegative.  SR-GD (``smsec.optim``) takes its gradient weights from
-the same factors.
+and nonnegative.  SR-GD's gradient weights come from the same factors, by
+the same function.
 
 The factored form is exact only while each sample's spread
 max_b u_sb - min_b u_sb stays below ``_MC_SPREAD_LIMIT`` (500, fixed by
 the double-precision range; see its comment).  The spread grows with the
 received amplitude: at the ``configs/benchmark.cfg`` shape the legitimate
 link passes the limit at about 30-35 dB.  A call in which any sample
-exceeds it uses the direct kernel ``_mc_exponentials``, which forms all
-S K^2 exponentials E_sab <= ||w_s||^2 by one broadcast of u (O(S K^2)
-memory); it needs no shift, since for CN(0, I_N) samples ||w_s||^2 stays
-far below the ~709 at which exp overflows.
+exceeds it takes the direct kernel ``_mc_exponentials`` on the same u,
+which forms all S K^2 exponentials E_sab <= ||w_s||^2 by one broadcast
+(O(S K^2) memory); it needs no shift, since for CN(0, I_N) samples
+||w_s||^2 stays far below the ~709 at which exp overflows.
+:func:`_mc_link` is the only place that chooses between the two kernels.
 
 ``secrecy_rate_mc_estimate`` adds the standard error of the secrecy rate:
 both links draw the same noise (common random numbers), so it is the
@@ -105,6 +112,7 @@ error of the paired per-sample differences.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,11 +149,11 @@ _JENSEN_GAP = 1.0 / _LN2 - 1.0
 _EXP2_SCALE = -0.5 / _LN2
 
 # Largest per-sample spread max_b u_sb - min_b u_sb (natural-log units) for
-# which :func:`_mc_factors` is used.  Below it, in double precision, every
-# shifted exponential e = exp(u - max u) is at least e^-500, a normal float;
-# the reciprocal row sums 1 / (e + X e) <= e^500 keep SR-GD's matrix products
-# finite; and a pair whose exp(-D_ab) underflows (D_ab > ~745) weighs less
-# than e^(500 - 745) relative to its row sum.
+# which :func:`_mc_link` takes the factored kernel.  Below it, in double
+# precision, every shifted exponential e = exp(u - max u) is at least e^-500,
+# a normal float; the reciprocal row sums 1 / (e + X e) <= e^500 keep SR-GD's
+# matrix products finite; and a pair whose exp(-D_ab) underflows
+# (D_ab > ~745) weighs less than e^(500 - 745) relative to its row sum.
 _MC_SPREAD_LIMIT = 500.0
 
 
@@ -273,16 +281,20 @@ def _factor_gram(F: np.ndarray) -> np.ndarray:
     return (gram + gram.conj().T) / 2
 
 
-def _link_covariances(
+def _whitened_channels(
     channels: ChannelPair, proj: ANProjector, powers: PowerConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Interference-plus-noise covariances of the legitimate and eavesdropper links.
+    """Whitened channels Q^{-1/2} C (N x N_t) of the legitimate and eavesdropper links.
 
-    Bob's is exactly sigma_b^2 * I, since the AN projector nulls H.
+    Bob's interference-plus-noise covariance is exactly sigma_b^2 * I, since
+    the AN projector nulls H; the eavesdropper's is the full AN-plus-noise
+    covariance.  Both still go through :func:`whiten`, so a fully symmetric
+    instance (G = H, equal noise) yields bit-identical factors, hence
+    identical rates, on the two links.
     """
     q_b = powers.sigma2_b * np.eye(channels.H.shape[0])
     q_e = noise_covariance(channels.G, proj, powers.p2, powers.sigma2_e)
-    return q_b, q_e
+    return whiten(q_b) @ channels.H, whiten(q_e) @ channels.G
 
 
 def build_cache(
@@ -293,29 +305,23 @@ def build_cache(
 ) -> QuadFormCache:
     """Whitened channels of both links plus the SM signal matrix.
 
-    The legitimate link's interference covariance reduces exactly to
-    sigma_b^2 * I because the AN projector nulls H; the eavesdropper's is
-    the full AN-plus-noise covariance.  Each whitened channel is
-    ``whiten(Q) @ C``, as :func:`_link_pair_setup` forms it, so the
+    The factors are :func:`_whitened_channels`' F, the matrices the
+    Monte-Carlo rate draws its links with (:func:`_sampled_links`), so the
     closed-form and Monte-Carlo rates see the same received points; the
-    cache derives each link's Gram from it, so every link is whitened once.
+    cache derives each link's Gram from its factor, so every link is
+    whitened once.
     """
-    H, G = channels.H, channels.G
     n_tx = codebook.n_tx
-    if H.shape[1] != n_tx:
+    if channels.H.shape[1] != n_tx:
         raise ValueError("channel and codebook transmit dimensions differ")
-
-    # Both links go through the same whitening, so a fully symmetric
-    # instance yields bit-identical factors and Grams, hence identical
-    # rates, on the two links.
-    q_b, q_e = _link_covariances(channels, proj, powers)
+    factor_b, factor_e = _whitened_channels(channels, proj, powers)
     return QuadFormCache(
         signals=codebook.signal_matrix(),
         p1=powers.p1,
         n_tx=n_tx,
         M=codebook.M,
-        factor_b=whiten(q_b) @ H,
-        factor_e=whiten(q_e) @ G,
+        factor_b=factor_b,
+        factor_e=factor_e,
     )
 
 
@@ -480,86 +486,131 @@ def asr(cache: QuadFormCache, v: np.ndarray, clamp: bool = False) -> float:
     return max(value, 0.0) if clamp else value
 
 
-def _link_pair_setup(
+@dataclass(frozen=True)
+class _SampledLink:
+    """One link of a Monte-Carlo evaluation: whitened channel and frozen noise.
+
+    ``F`` is the whitened channel (N x N_t) and ``stacked`` holds the samples
+    w_s ~ CN(0, I_N) as the real 2N x S array [Re W; Im W], W = [w_1 ... w_S],
+    that :func:`_mc_link` takes; :attr:`noise` gives them as complex rows.
+    Only the real form is stored: the rate never reads the complex one, and
+    holding both would raise its peak memory.  The secrecy rate,
+    ``mi_monte_carlo`` and SR-GD all evaluate links drawn by :meth:`draw`.
+    """
+
+    F: np.ndarray
+    stacked: np.ndarray
+
+    @property
+    def noise(self) -> np.ndarray:
+        """The samples w_s as rows (S x N), copied from ``stacked`` bit for bit."""
+        re, im = np.split(self.stacked, 2)
+        noise = np.empty(re.T.shape, dtype=complex)
+        noise.real, noise.imag = re.T, im.T
+        return noise
+
+    @classmethod
+    def draw(cls, F: np.ndarray, rng: np.random.Generator, n_samp: int) -> "_SampledLink":
+        """``n_samp`` samples from ``rng``: the real parts of all, then the imaginary parts."""
+        if n_samp < 1:
+            raise ValueError("n_samp must be >= 1")
+        shape = (n_samp, F.shape[0])
+        noise = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+        return cls(F=F, stacked=np.concatenate([noise.real.T, noise.imag.T]))
+
+
+def _sampled_links(
     channels: ChannelPair,
     proj: ANProjector,
     powers: PowerConfig,
+    n_samp: int,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.random.Generator, np.random.Generator]:
-    """Whitening matrices of both links and two identically seeded noise generators.
+) -> Iterator[_SampledLink]:
+    """The legitimate and eavesdropper links, in that order, drawn with common random numbers.
 
-    Draws one seed from ``rng`` for the two generators, so the links see
-    common random numbers.  Bob's interference covariance is exactly
-    sigma_b^2 * I (AN is nulled); it still goes through :func:`whiten` so
-    both links share a code path and a fully symmetric instance (G = H,
-    equal noise) cancels bit for bit.
+    One seed from ``rng`` seeds both links' generators, so they draw the
+    same stream of normals, which cancels shared sampling noise in the
+    difference of their rates.  The channels come from
+    :func:`_whitened_channels`, as the cache's do.  Each link is drawn when
+    it is taken, so a caller that evaluates one link before it takes the
+    next holds one link's samples at a time, as the reported rate does.
     """
-    q_b, q_e = _link_covariances(channels, proj, powers)
-    wh_b, wh_e = whiten(q_b), whiten(q_e)
     seed = int(rng.integers(0, 2**63))
-    return wh_b, wh_e, np.random.default_rng(seed), np.random.default_rng(seed)
+    for F in _whitened_channels(channels, proj, powers):
+        yield _SampledLink.draw(F, np.random.default_rng(seed), n_samp)
 
 
-def _complex_noise(rng: np.random.Generator, n_samp: int, dim: int) -> np.ndarray:
-    """n_samp i.i.d. CN(0, I_dim) rows."""
-    re = rng.standard_normal((n_samp, dim))
-    im = rng.standard_normal((n_samp, dim))
-    return (re + 1j * im) / np.sqrt(2.0)
-
-
-def _mc_exponentials(T: np.ndarray, noise: np.ndarray) -> np.ndarray:
+def _mc_exponentials(T: np.ndarray, u: np.ndarray) -> np.ndarray:
     """exp(E_sab) for every symbol pair and noise sample, indexed [a, b, s].
 
-    The direct kernel, used beyond :data:`_MC_SPREAD_LIMIT`.  ``T`` holds
-    the noise-free received points t_k as columns (N x K) and ``noise`` the
-    whitened samples w_s as rows (S x N).  The exponent is
-    E_sab = ||w_s||^2 - ||t_a - t_b + w_s||^2 = u_sb - u_sa - ||t_a - t_b||^2
-    with u = 2 Re(noise conj(T)), the distances from :func:`_sq_distances`.
-    It is bounded above by ||w_s||^2, so for CN(0, I) samples exp cannot
-    overflow and needs no max shift; the diagonal E_saa is exactly 0, so
-    each row sum over b is at least 1.  The
-    samples are the innermost axis, so every elementwise pass and every sum
-    over a or b runs along contiguous rows of length S however small K is.
+    The direct kernel, which :func:`_mc_link` takes beyond
+    :data:`_MC_SPREAD_LIMIT`.  ``T`` holds the noise-free received points
+    t_k as columns (N x K) and ``u`` is 2 Re(T^H W) (K x S) for the samples
+    W.  The exponent is
+    E_sab = ||w_s||^2 - ||t_a - t_b + w_s||^2 = u_sb - u_sa - ||t_a - t_b||^2,
+    the distances from :func:`_sq_distances`.  It is bounded above by
+    ||w_s||^2, so for CN(0, I) samples exp cannot overflow and needs no max
+    shift; the diagonal E_saa is exactly 0, so each row sum over b is at
+    least 1.  The samples are the innermost axis, so every elementwise pass
+    and every sum over a or b runs along contiguous rows of length S however
+    small K is.
     """
-    u = 2 * np.real(T.conj().T @ noise.T)  # (K, S)
     expo = u[None, :, :] - u[:, None, :]
     expo += _sq_distances(T, -1.0)[:, :, None]
     return np.exp(expo, out=expo)
 
 
-def _stacked_noise(noise: np.ndarray) -> np.ndarray:
-    """Samples w_s (rows of ``noise``, S x N) as the real 2N x S [Re W; Im W], W = noise^T."""
-    return np.concatenate([noise.real.T, noise.imag.T])
+def _mc_link(
+    T: np.ndarray,
+    link: _SampledLink,
+    axis: int | None = 0,
+    work: np.ndarray | None = None,
+    weights: bool = False,
+) -> tuple[np.ndarray | float, tuple[np.ndarray, np.ndarray] | None]:
+    """Sampled mutual information of one link at its received points, by either kernel.
 
-
-def _mc_factors(
-    T: np.ndarray, stacked: np.ndarray, work: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-    """The factored pair kernel: (inner, e, X, Xe), or None beyond the spread limit.
-
-    ``T`` holds the received points as columns (N x K) and ``stacked`` the
-    noise as :func:`_stacked_noise` returns it.  With u = 2 Re(T^H W)
-    (K x S), c_s = max_b u_sb, e = exp(u - c) and X = exp(-D),
+    ``T`` = sqrt(p1) F diag(v) S holds the noise-free received points of
+    ``link`` as columns (N x K).  With inner_as = log2 sum_b exp(E_sab)
+    (K x S), returns log2 K - mean(inner, ``axis``): the per-sample estimates
+    (S,) for axis 0, the link's estimate for axis None.  u = 2 Re(T^H W) is
+    formed once, as one real product with ``link.stacked``.  While every
+    sample's spread max_b u_sb - min_b u_sb is at most
+    :data:`_MC_SPREAD_LIMIT` the row sums come from the factored kernel:
+    with c_s = max_b u_sb, e = exp(u - c) and X = exp(-D),
     D_ab = ||t_a - t_b||^2 (:func:`_sq_distances`), with its unit diagonal
-    zeroed, the row sums of
-    exp(E_sab) = exp(u_sb - u_sa - D_ab) are
+    zeroed,
 
         sum_b exp(E_sab) = (e_as + (X e)_as) / e_as = 1 + (X e)_as / e_as,
 
-    so ``inner``, their log2 (K x S), costs O(K S) exponentials and one
-    K x K by K x S product.  As on the direct path the diagonal term is
-    exactly 1: with no signal (T = 0) and K a power of two every entry of
-    ``inner`` is log2(K) bit for bit.  Returns None when some sample's
-    spread max_b u_sb - min_b u_sb exceeds :data:`_MC_SPREAD_LIMIT`; the
-    caller then uses :func:`_mc_exponentials`.  With ``work``, a float array
-    of shape (>= 3, K, S), e, X e and ``inner`` are written to its first
-    three slots instead of new arrays, with the same bits.
+    O(K S) exponentials and one K x K by K x S product.  Beyond the limit
+    they come from :func:`_mc_exponentials` on the same u.  On both paths
+    the diagonal term is exactly 1: with no signal (T = 0) and K a power of
+    two every entry of inner is log2(K) bit for bit.
+
+    The second value is None unless ``weights``, and then SR-GD's pair
+    weights: the summed off-diagonal softmax weights of E over the samples
+    (K x K) and their row-minus-column sums per sample (K x S).  From the
+    factors, with g = 1 / (e + X e) the off-diagonal weights are
+    X_ab e_bs g_as, so their sum over samples is X * (g e^T), their row sums
+    are g * (X e) and, X being symmetric, their column sums are e * (X g);
+    the zero-diagonal X for the row sums avoids forming 1 - (a weight near
+    1).  With ``work``, a float array of shape (4, K, S), u and e, X e,
+    inner then g, and r - c are written to its slots instead of new arrays,
+    with the same bits, so the mean is taken before g reuses inner's slot.
     """
-    u_out, xe_out, inner_out = (None, None, None) if work is None else work[:3]
-    u = np.matmul((2 * np.concatenate([T.real, T.imag])).T, stacked, out=u_out)
+    K = T.shape[1]
+    u_out, xe_out, inner_out, rc_out = (None,) * 4 if work is None else work
+    u = np.matmul((2 * np.concatenate([T.real, T.imag])).T, link.stacked, out=u_out)
     top = u.max(axis=0)
     if np.max(top - u.min(axis=0)) > _MC_SPREAD_LIMIT:
-        return None
+        expo = _mc_exponentials(T, u)
+        sums = expo.sum(axis=1)
+        mi = np.log2(K) - np.mean(np.log2(sums), axis=axis)
+        if not weights:
+            return mi, None
+        expo /= sums[:, None, :]  # the softmax weights, indexed [a, b, s]
+        expo[np.arange(K), np.arange(K)] = 0.0
+        return mi, (expo.sum(axis=2), expo.sum(axis=1) - expo.sum(axis=0))
     u -= top
     e = np.exp(u, out=u)
     X = np.exp(_sq_distances(T, -1.0))
@@ -567,42 +618,16 @@ def _mc_factors(
     Xe = np.matmul(X, e, out=xe_out)
     inner = np.divide(Xe, e, out=inner_out)
     inner += 1.0
-    return np.log2(inner, out=inner), e, X, Xe
-
-
-def _mc_per_sample(T: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """Per-noise-sample mutual-information estimates, shape (S,).
-
-    For each transmitted symbol a the integrand is
-    log2 sum_b exp(||w||^2 - ||t_a - t_b + w||^2) over the received points
-    ``T`` (N x K); the noise samples (rows of ``noise``) are shared across
-    the average over a.  The row sums come from :func:`_mc_factors`, or from
-    :func:`_mc_exponentials` beyond the spread limit.
-    """
-    factors = _mc_factors(T, _stacked_noise(noise))
-    if factors is None:
-        inner = np.log2(_mc_exponentials(T, noise).sum(axis=1))
-    else:
-        inner = factors[0]
-    return np.log2(T.shape[1]) - np.mean(inner, axis=0)
-
-
-def _link_samples(
-    channel: np.ndarray,
-    whitening: np.ndarray,
-    codebook: SMCodebook,
-    v: np.ndarray,
-    p1: float,
-    n_samp: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Per-sample mutual-information estimates of one link, shape (n_samp,)."""
-    if n_samp < 1:
-        raise ValueError("n_samp must be >= 1")
-    v = np.asarray(v, dtype=complex)
-    noise = _complex_noise(rng, n_samp, channel.shape[0])
-    T = _noiseless_points(whitening @ channel, v, codebook.signal_matrix(), p1)
-    return _mc_per_sample(T, noise)
+    mi = np.log2(K) - np.mean(np.log2(inner, out=inner), axis=axis)
+    if not weights:
+        return mi, None
+    g = np.add(e, Xe, out=inner_out)
+    np.reciprocal(g, out=g)
+    r_minus_c = np.matmul(X, g, out=rc_out)
+    r_minus_c *= e
+    Xe *= g
+    np.subtract(Xe, r_minus_c, out=r_minus_c)
+    return mi, (X * (g @ e.T), r_minus_c)
 
 
 def _std_error(samples: np.ndarray) -> float:
@@ -628,9 +653,13 @@ def mi_monte_carlo(
     whitened noise is replaced by an ``n_samp``-sample average; the reported
     standard error is the per-sample standard deviation divided by
     sqrt(n_samp).  The value is floored at 0 (the estimator can dip below
-    zero by sampling noise alone).
+    zero by sampling noise alone).  The samples come from ``rng`` itself
+    (:meth:`_SampledLink.draw`), and :func:`_mc_link` evaluates the link as
+    it does each link of the secrecy rate.
     """
-    per_sample = _link_samples(channel, whitening, codebook, v, p1, n_samp, rng)
+    link = _SampledLink.draw(whitening @ channel, rng, n_samp)
+    T = _noiseless_points(link.F, np.asarray(v, dtype=complex), codebook.signal_matrix(), p1)
+    per_sample, _ = _mc_link(T, link)
     value = float(np.mean(per_sample))
     return MIEstimate(value=max(value, 0.0), std_error=_std_error(per_sample), n_samples=n_samp)
 
@@ -649,11 +678,14 @@ def secrecy_rate_mc_estimate(
     ``value`` is [max(I_b, 0) - max(I_e, 0)]^+ of the two links' floored
     :func:`mi_monte_carlo` values; ``std_error`` is the standard error of the
     paired per-sample differences I_b,s - I_e,s, which share their noise
-    draws, so it is the error of the unfloored difference of the means.
+    draws (:func:`_sampled_links`, as SR-GD draws its frozen samples), so it
+    is the error of the unfloored difference of the means.
     """
-    wh_b, wh_e, rng_b, rng_e = _link_pair_setup(channels, proj, powers, rng)
-    per_b = _link_samples(channels.H, wh_b, codebook, v, powers.p1, n_samp, rng_b)
-    per_e = _link_samples(channels.G, wh_e, codebook, v, powers.p1, n_samp, rng_e)
+    v = np.asarray(v, dtype=complex)
+    per_b, per_e = (
+        _mc_link(_noiseless_points(link.F, v, codebook.signal_matrix(), powers.p1), link)[0]
+        for link in _sampled_links(channels, proj, powers, n_samp, rng)
+    )
     mi_b = max(float(np.mean(per_b)), 0.0)
     mi_e = max(float(np.mean(per_e)), 0.0)
     return MIEstimate(

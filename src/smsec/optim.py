@@ -51,14 +51,12 @@ import numpy as np
 from .errors import NumericalError
 from .metrics import (
     _EXP2_SCALE,
-    _complex_noise,
+    _SampledLink,
     _constellation_terms,
     _lifted_eval,
-    _link_pair_setup,
-    _mc_exponentials,
-    _mc_factors,
+    _mc_link,
+    _sampled_links,
     _sq_distances,
-    _stacked_noise,
     QuadFormCache,
     asr,  # not called here; tracing patches smsec.optim.asr, so the name stays
     relaxed_asr,  # max_asr_sca calls it through this namespace, which tracing patches
@@ -100,6 +98,11 @@ _STEP_GROWTH = 1.25
 
 # Transmit powers N_t/n, 2 N_t/n, ..., N_t that rounding sweeps per direction.
 _POWER_GRID = 64
+
+# A tr(W_star) within this relative distance (a few ulps) of a grid power is
+# swept as that power alone: the two rays score alike, and which of them won
+# the argmax would follow last-bit noise.
+_POWER_SNAP = 16 * np.finfo(float).eps
 
 # Rounding directions scored together.  The sweep's largest temporary is
 # (block, powers, K, K), so this also sets its memory.  One sweep of 101
@@ -403,85 +406,18 @@ def max_asr_gd(cache: QuadFormCache, v0: np.ndarray, params: GDParams) -> OptTra
     return _ascend(lambda v: _asr_value_and_gradient(cache, v), v0, cache.n_tx, params)
 
 
-@dataclass(frozen=True)
-class _FrozenLink:
-    """One link of :class:`_SampledSecrecyObjective`: whitened channel and frozen noise.
-
-    ``F`` is the whitened channel (N x N_t), ``noise`` the samples w_s as
-    rows (S x N), ``stacked`` the same samples as the real (2N x S) array
-    the factored kernel takes, and ``z`` the rows z_s = F^H w_s as the real
-    S x 2N_t array [Re z, Im z], so the gradient contracts it with one real
-    matrix product.
-    """
-
-    F: np.ndarray
-    noise: np.ndarray
-    stacked: np.ndarray
-    z: np.ndarray
-
-    @classmethod
-    def draw(cls, F: np.ndarray, rng: np.random.Generator, n_samp: int) -> "_FrozenLink":
-        noise = _complex_noise(rng, n_samp, F.shape[0])
-        z = noise @ F.conj()
-        return cls(
-            F=F,
-            noise=noise,
-            stacked=_stacked_noise(noise),
-            z=np.hstack([z.real, z.imag]),
-        )
-
-
-def _direct_pair_weights(
-    T: np.ndarray, noise: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Log2 row sums (K x S), summed pair weights (K x K) and row-minus-column sums (K x S).
-
-    From the direct kernel :func:`~smsec.metrics._mc_exponentials`: the
-    pair weights are the row softmax of E_sab with the diagonal zeroed.
-    """
-    weights = _mc_exponentials(T, noise)  # exp(E), indexed [a, b, s]
-    sums = weights.sum(axis=1)  # (K, S)
-    weights /= sums[:, None, :]
-    diag = np.arange(T.shape[1])
-    weights[diag, diag] = 0.0
-    return np.log2(sums), weights.sum(axis=2), weights.sum(axis=1) - weights.sum(axis=0)
-
-
-def _factored_pair_weights(
-    e: np.ndarray, X: np.ndarray, Xe: np.ndarray, work: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The pair-weight sums of :func:`_direct_pair_weights` from ``_mc_factors``' factors.
-
-    With g = 1 / (e + X e) the off-diagonal weights are X_ab e_bs g_as, so
-    their sum over samples is X * (g e^T), their row sums are g * (X e) and,
-    X being symmetric, their column sums are e * (X g).  Using the zero-
-    diagonal X for the row sums avoids forming 1 - (a weight near 1).
-    g and r - c are written to the two slots of ``work`` (shape (2, K, S))
-    and ``Xe`` is overwritten with g * (X e), so no K x S array is allocated.
-    """
-    g, r_minus_c = work
-    np.add(e, Xe, out=g)
-    np.reciprocal(g, out=g)
-    np.matmul(X, g, out=r_minus_c)
-    r_minus_c *= e
-    Xe *= g
-    np.subtract(Xe, r_minus_c, out=r_minus_c)
-    return X * (g @ e.T), r_minus_c
-
-
 class _SampledSecrecyObjective:
     """Monte-Carlo secrecy rate with frozen noise: deterministic in v.
 
-    Freezes ``n_samp`` whitened-noise realizations per link (identically
-    seeded on both links) so that repeated evaluations are a pure function
-    of the precoder, making the ascent loop's accept/reject decisions and
-    finite-difference checks well defined.  ``bob`` and ``eve`` are the
-    links' :class:`_FrozenLink` records; :meth:`value_and_gradient`
-    evaluates both with the Monte-Carlo pair kernel of ``smsec.metrics``
-    (factored, or direct beyond its spread limit) and takes the gradient's
-    pair weights from the same factors.  The factored kernel's five K x S
-    arrays per link live in one (4, K, S) workspace that both links share,
-    so an evaluation allocates no array of that size.
+    Freezes ``n_samp`` whitened-noise realizations per link, drawn by
+    ``smsec.metrics._sampled_links`` as for the reported secrecy rate
+    (identically seeded on both links), so that repeated evaluations are a
+    pure function of the precoder, making the ascent loop's accept/reject
+    decisions and finite-difference checks well defined.  ``bob`` and
+    ``eve`` are the two links; :meth:`value_and_gradient` evaluates both
+    with ``smsec.metrics._mc_link``, which also gives the gradient's pair
+    weights.  Its four K x S arrays per link live in one (4, K, S) workspace
+    that both links share, so an evaluation allocates no array of that size.
     """
 
     def __init__(
@@ -493,24 +429,28 @@ class _SampledSecrecyObjective:
         n_samp: int,
         rng: np.random.Generator,
     ):
-        if n_samp < 1:
-            raise ValueError("n_samp must be >= 1")
         self.signals = codebook.signal_matrix()
         self.signals_h = self.signals.conj().T
         self.p1 = powers.p1
-        wh_b, wh_e, rng_b, rng_e = _link_pair_setup(channels, proj, powers, rng)
-        self.bob = _FrozenLink.draw(wh_b @ channels.H, rng_b, n_samp)
-        self.eve = _FrozenLink.draw(wh_e @ channels.G, rng_e, n_samp)
+        self.bob, self.eve = _sampled_links(channels, proj, powers, n_samp, rng)
+        # z_s = F^H w_s of each link as the real S x 2N_t array [Re z, Im z],
+        # so the gradient contracts it with one real matrix product.
+        self.z_bob, self.z_eve = (
+            np.hstack([z.real, z.imag])
+            for z in (link.noise @ link.F.conj() for link in (self.bob, self.eve))
+        )
         self._work = np.empty((4, self.signals.shape[1], n_samp))
 
     def value_and_gradient(self, v: np.ndarray) -> tuple[float, np.ndarray]:
         """Sampled secrecy rate I(bob) - I(eve) at v and its conjugate gradient."""
         v = np.asarray(v, dtype=complex)
-        mi_b, g_b = self._link(self.bob, v)
-        mi_e, g_e = self._link(self.eve, v)
+        mi_b, g_b = self._link(self.bob, self.z_bob, v)
+        mi_e, g_e = self._link(self.eve, self.z_eve, v)
         return float(mi_b - mi_e), g_b - g_e
 
-    def _link(self, link: _FrozenLink, v: np.ndarray) -> tuple[float, np.ndarray]:
+    def _link(
+        self, link: _SampledLink, z: np.ndarray, v: np.ndarray
+    ) -> tuple[float, np.ndarray]:
         # Sampled MI of one link and its d/d(conj v).  With d = s_a - s_b the
         # exponent E_sab = -||alpha||^2 - 2 Re(alpha^H w_s) of
         # alpha = sqrt(p1) F diag(d) v has
@@ -522,26 +462,16 @@ class _SampledSecrecyObjective:
         # with r, c the row and column sums of w, taken as
         # rowsum(conj(S) * M^T) with M = (r - c) z (K x N_t).  The diagonal
         # (d = 0) is dropped before summing: it adds nothing, but at high SNR
-        # its weight is ~1 and would swamp the off-diagonal terms.  P and
-        # r - c come from the factored kernel (O(K S) exponentials) unless a
-        # sample's spread exceeds its limit, and then from the direct one.
+        # its weight is ~1 and would swamp the off-diagonal terms.
         S = self.signals
         K = S.shape[1]
-        n_samp = link.noise.shape[0]
         T = _noiseless_points(link.F, v, S, self.p1)
-        factors = _mc_factors(T, link.stacked, self._work)
-        if factors is None:
-            inner, P, r_minus_c = _direct_pair_weights(T, link.noise)
-            mi = np.log2(K) - np.mean(inner)
-        else:
-            inner, e, X, Xe = factors
-            mi = np.log2(K) - np.mean(inner)  # read before the weights reuse its slot
-            P, r_minus_c = _factored_pair_weights(e, X, Xe, self._work[2:])
+        mi, (P, r_minus_c) = _mc_link(T, link, None, self._work, weights=True)
         term_u = _pair_pull(T, P, link.F, self.signals_h)
-        M = r_minus_c @ link.z
+        M = r_minus_c @ z
         n_tx = S.shape[0]
         term_z = np.sum(S.conj() * (M[:, :n_tx] + 1j * M[:, n_tx:]).T, axis=1)
-        scale = np.sqrt(self.p1) / (K * n_samp * _LN2)
+        scale = np.sqrt(self.p1) / (K * link.stacked.shape[1] * _LN2)
         return mi, scale * (term_u + term_z)
 
 
@@ -926,7 +856,9 @@ def power_sweep_rounding(
     (the leading eigenvector plus ``n_randomizations`` Gaussian draws from
     W_star) is swept over ``_POWER_GRID`` equispaced powers tr(v v^H) in
     (0, N_t] plus tr(W_star) (quadratic forms scale linearly with the power,
-    so a whole ray costs one extra log-sum-exp per grid point), and the best
+    so a whole ray costs one extra log-sum-exp per grid point); a tr(W_star)
+    within a few ulps of a grid power (``_POWER_SNAP``) is swept as that
+    power alone, so the choice does not follow its last bits.  The best
     (direction, power) pair by approximate secrecy rate is returned: the
     first direction whose best value is strictly the greatest, at its first
     best power.  A direction with a nan value at any power is passed over.
@@ -949,10 +881,11 @@ def power_sweep_rounding(
     if not _is_rank_one(lam, params.rank_tol):
         candidates = np.concatenate([candidates, directions])
     trace_w = float(np.clip(np.real(np.trace(W_star)), n_tx / _POWER_GRID, n_tx))
-    # The sorted grid plus tr(W_star), once: what np.unique gives, without
-    # the numpy.ma import it makes on first use.
+    # The sorted grid plus a tr(W_star) that is not within a few ulps of a
+    # grid power: what np.unique gives, without the numpy.ma import it makes
+    # on first use.
     t_grid = np.linspace(n_tx / _POWER_GRID, n_tx, _POWER_GRID)
-    if not np.any(t_grid == trace_w):
+    if not np.any(np.abs(t_grid - trace_w) <= _POWER_SNAP * t_grid):
         t_grid = np.sort(np.append(t_grid, trace_w))
     S, p1 = cache.signals, cache.p1
     best_vec, best_val = None, -np.inf

@@ -15,12 +15,12 @@ import numpy as np
 import pytest
 
 import smsec.metrics as metrics
-from smsec import asr, link_rate_approx
+from smsec import asr, link_rate_approx, noise_covariance, whiten
 from smsec.metrics import (
     _EXP2_SCALE,
     _constellation_terms,
     _lifted_eval,
-    _link_pair_setup,
+    _sampled_links,
     _sq_distances,
     relaxed_asr,
 )
@@ -166,13 +166,18 @@ def test_factors_are_the_monte_carlo_whitened_channels(seed, n_tx, n_b, n_e):
     channels, proj, powers, codebook, cache = make_instance(
         seed=seed, n_tx=n_tx, n_b=n_b, n_e=n_e, sigma2=0.05
     )
-    wh_b, wh_e, _, _ = _link_pair_setup(channels, proj, powers, np.random.default_rng(0))
+    wh_b = whiten(powers.sigma2_b * np.eye(n_b))
+    wh_e = whiten(noise_covariance(channels.G, proj, powers.p2, powers.sigma2_e))
     np.testing.assert_array_equal(cache.factor_b, wh_b @ channels.H)
     np.testing.assert_array_equal(cache.factor_e, wh_e @ channels.G)
+    # the links the Monte-Carlo rate and SR-GD draw
+    bob, eve = _sampled_links(channels, proj, powers, 16, np.random.default_rng(0))
     objective = _SampledSecrecyObjective(
         channels, proj, powers, codebook, 16, np.random.default_rng(0)
     )
-    np.testing.assert_array_equal(cache.factor("bob"), objective.bob.F)
-    np.testing.assert_array_equal(cache.factor("eve"), objective.eve.F)
+    for link in (bob, objective.bob):
+        np.testing.assert_array_equal(cache.factor("bob"), link.F)
+    for link in (eve, objective.eve):
+        np.testing.assert_array_equal(cache.factor("eve"), link.F)
     with pytest.raises(ValueError, match="side"):
         cache.factor("carol")

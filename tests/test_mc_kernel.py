@@ -3,10 +3,11 @@
 The reference builds the (K, K, N) tensor of received-point differences,
 contracts it with the noise samples by einsum and takes a max-shifted
 log-sum-exp; the SR-GD gradient reference adds the (K, K, N_t) symbol
-differences and a three-operand einsum.  The kernels under test are the
-factored one (S K shifted exponentials and K x K by K x S products) and,
-beyond its spread limit, the direct one (all S K^2 exponentials from one
-broadcast of u = 2 Re(noise conj(T)) and the K x K Gram of T).
+differences and a three-operand einsum.  ``_mc_link`` serves the secrecy
+rate and SR-GD alike and chooses the kernel: the factored one (S K shifted
+exponentials and K x K by K x S products) or, beyond its spread limit, the
+direct one (all S K^2 exponentials from one broadcast of u = 2 Re(T^H W)
+and the K x K Gram of T).
 """
 
 import math
@@ -17,7 +18,7 @@ import pytest
 from scipy.special import softmax
 
 from smsec import metrics, optim, secrecy_rate_mc
-from smsec.metrics import _mc_exponentials, _mc_factors, _mc_per_sample
+from smsec.metrics import _mc_exponentials, _mc_link, _sampled_links, secrecy_rate_mc_estimate
 from smsec.model import _noiseless_points
 from smsec.optim import _SampledSecrecyObjective
 
@@ -106,20 +107,21 @@ def test_mc_kernel_matches_einsum_reference(n_tx, M, snr_db, n_b, n_e):
     signals, p1 = objective.signals, objective.p1
 
     values, grads = [], []
-    for link in (objective.bob, objective.eve):
+    for link, z_stacked in ((objective.bob, objective.z_bob), (objective.eve, objective.z_eve)):
         F, noise = link.F, link.noise
         z = noise @ F.conj()  # z_s = F^H w_s
         T = _noiseless_points(F, v, signals, p1)
-        expo = _mc_exponentials(T, noise)  # indexed [a, b, s]
+        u = 2 * np.real(T.conj().T @ noise.T)  # from the complex samples
+        expo = _mc_exponentials(T, u)  # indexed [a, b, s]
         assert expo.shape == (T.shape[1], T.shape[1], N_SAMP)
         assert np.all(expo.sum(axis=1) >= 1.0)
 
-        per_sample = _mc_per_sample(T, noise)
+        per_sample, _ = _mc_link(T, link)
         want = ref_mc_per_sample(F, signals, v, p1, noise)
         assert np.all(np.isfinite(per_sample))
         assert np.max(np.abs(per_sample - want)) <= 1e-12
 
-        mi, grad = objective._link(link, v)
+        mi, grad = objective._link(link, z_stacked, v)
         want_grad = ref_side_gradient(F, z, noise, v, signals, p1)
         assert np.all(np.isfinite(grad))
         assert abs(mi - np.mean(want)) <= 1e-12
@@ -137,29 +139,29 @@ def test_factored_and_direct_branches_agree(monkeypatch, n_tx, M, snr_db, n_b, n
     objective, v = kernel_instance(n_tx, M, snr_db, n_b, n_e)
     links = (objective.bob, objective.eve)
     points = [_noiseless_points(link.F, v, objective.signals, objective.p1) for link in links]
-    per_sample = [_mc_per_sample(T, link.noise) for T, link in zip(points, links)]
+    per_sample = [_mc_link(T, link)[0] for T, link in zip(points, links)]
     value, grad = objective.value_and_gradient(v)
 
     # No spread is below -1: every call now takes the direct kernel.
     monkeypatch.setattr(metrics, "_MC_SPREAD_LIMIT", -1.0)
+    calls = count_direct_calls(monkeypatch)
     for T, link, got in zip(points, links, per_sample):
-        assert _mc_factors(T, link.stacked) is None
-        assert np.max(np.abs(got - _mc_per_sample(T, link.noise))) <= 1e-12
+        assert np.max(np.abs(got - _mc_link(T, link)[0])) <= 1e-12
     want_value, want_grad = objective.value_and_gradient(v)
+    assert len(calls) == 4
     assert abs(value - want_value) <= 1e-10 * max(abs(want_value), 1e-300)
     assert rel_err(grad, want_grad) <= 1e-10
 
 
 def count_direct_calls(monkeypatch):
-    """Count calls of the direct kernel from both modules that use it."""
+    """Count calls of the direct kernel, which only ``metrics._mc_link`` makes."""
     calls = []
 
-    def spy(T, noise):
+    def spy(T, u):
         calls.append(T.shape)
-        return _mc_exponentials(T, noise)
+        return _mc_exponentials(T, u)
 
     monkeypatch.setattr(metrics, "_mc_exponentials", spy)
-    monkeypatch.setattr(optim, "_mc_exponentials", spy)
     return calls
 
 
@@ -172,12 +174,38 @@ def test_spread_selects_the_branch(monkeypatch, snr_db, factored):
     )
     bob = objective.bob
     T = _noiseless_points(bob.F, v, objective.signals, objective.p1)
-    assert (_mc_factors(T, bob.stacked) is not None) == factored
-
     calls = count_direct_calls(monkeypatch)
+    _mc_link(T, bob)
+    assert (len(calls) == 0) == factored
+
     secrecy_rate_mc(channels, proj, powers, codebook, v, N_SAMP, np.random.default_rng(1))
     objective.value_and_gradient(v)
     assert (len(calls) == 0) == factored
+    assert not hasattr(optim, "_mc_exponentials")
+
+
+@pytest.mark.parametrize("snr_db,factored", [(0, True), (90, False)])
+def test_secrecy_rate_and_sr_gd_share_one_estimator(monkeypatch, snr_db, factored):
+    # On the same seed both draw the same links: the reported rate, whose
+    # floors are inactive here, is SR-GD's objective up to summation order.
+    channels, proj, powers, codebook, _ = make_instance(seed=3, sigma2=10 ** (-snr_db / 10))
+    v = np.array([1.0, 1j, -0.5, 1.2 + 0.3j])
+    calls = count_direct_calls(monkeypatch)
+    est = secrecy_rate_mc_estimate(
+        channels, proj, powers, codebook, v, N_SAMP, np.random.default_rng(7)
+    )
+    objective = _SampledSecrecyObjective(
+        channels, proj, powers, codebook, N_SAMP, np.random.default_rng(7)
+    )
+    value, _ = objective.value_and_gradient(v)
+    assert (len(calls) == 0) == factored
+
+    links = tuple(_sampled_links(channels, proj, powers, N_SAMP, np.random.default_rng(7)))
+    points = [_noiseless_points(link.F, v, objective.signals, powers.p1) for link in links]
+    mi_b, mi_e = (float(np.mean(_mc_link(T, link)[0])) for T, link in zip(points, links))
+    assert mi_b > mi_e > 0
+    assert est.value == mi_b - mi_e
+    assert est.value == pytest.approx(value, rel=1e-12, abs=0.0)
 
 
 def test_secrecy_rate_memory_stays_linear_in_samples():

@@ -14,9 +14,8 @@ from smsec import (
 )
 from smsec.metrics import (
     QuadFormCache,
-    _complex_noise,
-    _link_pair_setup,
-    _mc_per_sample,
+    _mc_link,
+    _sampled_links,
     secrecy_rate_mc_estimate,
 )
 from smsec.model import _noiseless_points
@@ -259,23 +258,40 @@ def test_secrecy_rate_estimate_value_and_paired_error(n_samp):
     assert est.value == secrecy_rate_mc(
         channels, proj, powers, codebook, v, n_samp, np.random.default_rng(4)
     )
-    wh_b, wh_e, rng_b, rng_e = _link_pair_setup(
-        channels, proj, powers, np.random.default_rng(4)
-    )
+    # each link draws from its own generator, both seeded by one draw of rng
+    seed = int(np.random.default_rng(4).integers(0, 2**63))
+    wh_b = whiten(powers.sigma2_b * np.eye(channels.H.shape[0]))
+    wh_e = whiten(S.noise_covariance(channels.G, proj, powers.p2, powers.sigma2_e))
+    rng_b, rng_e = np.random.default_rng(seed), np.random.default_rng(seed)
     mi_b = mi_monte_carlo(channels.H, wh_b, codebook, v, powers.p1, n_samp, rng_b)
     mi_e = mi_monte_carlo(channels.G, wh_e, codebook, v, powers.p1, n_samp, rng_e)
     assert est.value == max(mi_b.value - mi_e.value, 0.0)
     assert est.n_samples == n_samp
 
     # the error is that of the paired per-sample differences (common noise)
-    wh_b, wh_e, rng_b, rng_e = _link_pair_setup(
-        channels, proj, powers, np.random.default_rng(4)
-    )
-    per_link = []
-    for C, wh, link_rng in ((channels.H, wh_b, rng_b), (channels.G, wh_e, rng_e)):
-        noise = _complex_noise(link_rng, n_samp, C.shape[0])
-        T = _noiseless_points(wh @ C, v, codebook.signal_matrix(), powers.p1)
-        per_link.append(_mc_per_sample(T, noise))
+    links = tuple(_sampled_links(channels, proj, powers, n_samp, np.random.default_rng(4)))
+    per_link = [
+        _mc_link(_noiseless_points(link.F, v, codebook.signal_matrix(), powers.p1), link)[0]
+        for link in links
+    ]
+    np.testing.assert_array_equal(links[0].noise, links[1].noise)  # N_b = N_e here
     diff = per_link[0] - per_link[1]
     want = np.std(diff, ddof=1) / np.sqrt(n_samp) if n_samp > 1 else 0.0
     assert est.std_error == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n_samp", [0, -3])
+def test_every_monte_carlo_entry_rejects_fewer_than_one_sample(n_samp):
+    # The secrecy rate, one link's estimate and SR-GD draw their samples the same way.
+    channels, proj, powers, codebook, _ = make_instance(seed=9)
+    v = np.ones(4, dtype=complex)
+    rng = np.random.default_rng(0)
+    wh = whiten(powers.sigma2_b * np.eye(2))
+    calls = [
+        lambda: secrecy_rate_mc(channels, proj, powers, codebook, v, n_samp, rng),
+        lambda: mi_monte_carlo(channels.H, wh, codebook, v, powers.p1, n_samp, rng),
+        lambda: S.max_sr_gd(channels, proj, powers, codebook, v, S.GDParams(), n_samp, rng),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="n_samp must be >= 1"):
+            call()

@@ -148,12 +148,28 @@ def test_sr_gd_evaluation_allocates_no_sample_sized_array():
     assert peak < codebook.n_signals * n_samp * 8  # one (K, S) float array: 125 KiB
 
 
-def allocating_mc_factors(T, stacked, work=None):
-    """The factored kernel with a new array for each K x S result (``work`` is ignored)."""
-    u = (2 * np.concatenate([T.real, T.imag])).T @ stacked
+def test_a_sampled_link_stores_its_samples_once():
+    # The complex rows are rebuilt from the real stacked array, bit for bit
+    # and in the layout they were drawn in.
+    F = np.ones((3, 4), dtype=complex)
+    link = metrics._SampledLink.draw(F, np.random.default_rng(8), 50)
+    rng = np.random.default_rng(8)
+    want = (rng.standard_normal((50, 3)) + 1j * rng.standard_normal((50, 3))) / np.sqrt(2.0)
+    assert np.array_equal(link.noise, want) and link.noise.flags.c_contiguous
+    assert np.array_equal(link.stacked, np.concatenate([want.real.T, want.imag.T]))
+    assert [f.name for f in dataclasses.fields(link)] == ["F", "stacked"]
+
+
+def allocating_mc_link(T, link, axis=0, work=None, weights=False):
+    """``_mc_link``'s factored kernel with a new array for each K x S result (``work`` is ignored).
+
+    Beyond the spread limit it returns ``_mc_link``'s direct result, which
+    writes only u to the workspace.
+    """
+    u = (2 * np.concatenate([T.real, T.imag])).T @ link.stacked
     top = u.max(axis=0)
     if np.max(top - u.min(axis=0)) > metrics._MC_SPREAD_LIMIT:
-        return None
+        return metrics._mc_link(T, link, axis, None, weights)
     u -= top
     e = np.exp(u, out=u)
     X = np.exp(metrics._sq_distances(T, -1.0))
@@ -161,16 +177,14 @@ def allocating_mc_factors(T, stacked, work=None):
     Xe = X @ e
     inner = Xe / e
     inner += 1.0
-    return np.log2(inner, out=inner), e, X, Xe
-
-
-def allocating_pair_weights(e, X, Xe, work=None):
-    """SR-GD's pair-weight sums with a new array for each K x S result (``work`` is ignored)."""
+    mi = np.log2(T.shape[1]) - np.mean(np.log2(inner), axis=axis)
+    if not weights:
+        return mi, None
     g = np.add(e, Xe)
     np.reciprocal(g, out=g)
     r_minus_c = e * (X @ g)
     np.subtract(Xe * g, r_minus_c, out=r_minus_c)
-    return X * (g @ e.T), r_minus_c
+    return mi, (X * (g @ e.T), r_minus_c)
 
 
 @pytest.mark.parametrize("n_samp", [500, 2000])
@@ -188,16 +202,18 @@ def test_workspace_equals_the_allocating_kernel(monkeypatch, n_tx, M, snr_db, n_
 
     for link in (objective.bob, objective.eve):
         T = _noiseless_points(link.F, v, objective.signals, objective.p1)
-        want = allocating_mc_factors(T, link.stacked)
-        got = metrics._mc_factors(T, link.stacked, np.empty((4, *T.shape[1:], n_samp)))
-        assert (got is None) == (want is None)
-        if want is not None:
-            for a, b in zip(got, want):
-                assert np.array_equal(a, b)
+        for axis in (0, None):
+            for weights in (False, True):
+                want_mi, want_w = allocating_mc_link(T, link, axis, weights=weights)
+                work = np.empty((4, *T.shape[1:], n_samp))
+                got_mi, got_w = metrics._mc_link(T, link, axis, work, weights)
+                assert np.array_equal(got_mi, want_mi)
+                assert (got_w is None) == (want_w is None) == (not weights)
+                for a, b in zip(got_w or (), want_w or ()):
+                    assert np.array_equal(a, b)
 
     value, grad = objective.value_and_gradient(v)
-    monkeypatch.setattr(optim, "_mc_factors", allocating_mc_factors)
-    monkeypatch.setattr(optim, "_factored_pair_weights", allocating_pair_weights)
+    monkeypatch.setattr(optim, "_mc_link", allocating_mc_link)
     want_value, want_grad = objective.value_and_gradient(v)
     assert value == want_value
     assert np.array_equal(grad, want_grad)

@@ -16,11 +16,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from smsec import SCAParams, power_sweep_rounding
+from smsec import SCAParams, optim, power_sweep_rounding
 from smsec.metrics import _pair_traces, log2sumexp2
 from smsec.model import _noiseless_points
 from smsec.optim import (
     _POWER_GRID,
+    _POWER_SNAP,
     _is_rank_one,
     _leading_direction,
     _rounding_directions,
@@ -65,9 +66,9 @@ def reference_power_sweep_rounding(cache, W_star, params, rng):
     if _is_rank_one(lam, params.rank_tol):
         directions = []
     trace_w = float(np.clip(np.real(np.trace(W_star)), n_tx / _POWER_GRID, n_tx))
-    t_grid = np.unique(
-        np.concatenate([np.linspace(n_tx / _POWER_GRID, n_tx, _POWER_GRID), [trace_w]])
-    )
+    t_grid = np.linspace(n_tx / _POWER_GRID, n_tx, _POWER_GRID)
+    if np.min(np.abs(t_grid - trace_w) / t_grid) > _POWER_SNAP:
+        t_grid = np.unique(np.concatenate([t_grid, [trace_w]]))
     best_vec, best_val = None, -np.inf
     for direction in [lead_dir] + directions:
         D = np.outer(direction, direction.conj())
@@ -114,6 +115,44 @@ def test_sweep_equals_the_per_direction_loop(n_tx, M, snr_db, kind, draws):
     assert np.all(np.isfinite(got))
     np.testing.assert_array_equal(got, want)
     assert rng.random() == rng_ref.random()
+
+
+def swept_grids(monkeypatch, cache, trace_w):
+    """The power grids ``power_sweep_rounding`` sweeps for a rank-one W* of trace ``trace_w``."""
+    grids = []
+
+    def spy(T, t_grid):
+        grids.append(t_grid)
+        return _swept_log_terms(T, t_grid)
+
+    monkeypatch.setattr(optim, "_swept_log_terms", spy)
+    W = np.zeros((cache.n_tx, cache.n_tx), dtype=complex)
+    W[0, 0] = trace_w
+    v = power_sweep_rounding(cache, W, SCAParams(), np.random.default_rng(0))
+    assert np.all(np.isfinite(v))
+    return grids
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_a_trace_ulps_below_the_budget_is_swept_as_the_budget(monkeypatch, k):
+    # tr(W*) = N_t (1 - k 2^-52): the grid must hold no second power within
+    # those ulps of N_t, or the argmax between the two follows last-bit noise.
+    *_, cache = make_instance(seed=3)
+    n_tx = cache.n_tx
+    trace_w = n_tx * (1 - k * 2.0**-52)
+    assert 0 < n_tx - trace_w <= 6 * 2.0**-52 * n_tx
+    grids = swept_grids(monkeypatch, cache, trace_w)
+    assert len(grids) == 2  # one block, both links
+    for t_grid in grids:
+        assert len(t_grid) == _POWER_GRID and t_grid[-1] == n_tx
+        assert np.min(np.diff(t_grid)) > 6 * 2.0**-52 * n_tx
+
+
+def test_a_trace_off_the_grid_is_swept_too(monkeypatch):
+    *_, cache = make_instance(seed=3)
+    trace_w = cache.n_tx * (1 - 1e-9)
+    for t_grid in swept_grids(monkeypatch, cache, trace_w):
+        assert len(t_grid) == _POWER_GRID + 1 and t_grid[-2] == trace_w
 
 
 @pytest.mark.parametrize("p1", [0.5, 1e-3, 1e4, 0.0])
