@@ -49,7 +49,14 @@ only scales every distance by t.  :class:`QuadFormCache` is built from S
 and each link's F alone; it derives S^H, each link's N_t x N_t Gram
 R = F^H F and the rank bound min(N, N_t) from them, so one whitening per
 link (an eigendecomposition of Q, in :func:`whiten`) serves every kernel,
-and the module needs only numpy.
+and the module needs only numpy.  It also stacks both links' F as one
+(2, N_max, N_t) array, the link with fewer receive antennas padded by zero
+rows, so that ``asr`` and ASR-GD take both links' points, distances, log
+terms and pulls in one stacked pass.  A zero row adds an exact zero to every
+sum, so the stacked results equal the per-link ones bit for bit wherever
+BLAS sums the taller products in the same order: at every shape up to
+K = 64 that the tests cover, but not at K = 128 with (N_b, N_e) = (1, 6),
+where ASR-GD's gradient moves by a few ulps.
 
 Lifted *matrices* keep the trace form.  Under W = v v^H each quadratic
 form is a trace, v^H A_{kk'} v = tr(W A_{kk'}), and G above is
@@ -72,7 +79,9 @@ code path serves the secrecy rate, ``mi_monte_carlo`` and SR-GD
 (``smsec.optim``).  A link is a :class:`_SampledLink`: its whitened channel
 F (from :func:`_whitened_channels`, which ``build_cache`` also uses) and S
 frozen noise samples w_s.  :func:`_sampled_links` draws both links of an
-evaluation from one seed (common random numbers).  With
+evaluation from one seed (common random numbers); when both links have as
+many receive antennas the two draws are equal, so the samples are drawn
+once and shared.  With
 T = sqrt(p1) F diag(v) S (N x K) the noise-free received points t_k and
 u = 2 Re(T^H W) (K x S) for the samples W = [w_1 ... w_S], the exponent of
 pair (a, b) under sample s is
@@ -106,13 +115,16 @@ which forms all S K^2 exponentials E_sab <= ||w_s||^2 by one broadcast
 
 ``secrecy_rate_mc_estimate`` adds the standard error of the secrecy rate:
 both links draw the same noise (common random numbers), so it is the
-error of the paired per-sample differences.
+error of the paired per-sample differences.  It and ``mi_monte_carlo`` take
+their per-sample estimates in sample chunks (:func:`_per_sample_mi`), each
+as wide as fits one K x chunk float array in ``_MC_CHUNK_BYTES`` (128 KiB),
+so their working set does not grow with S; SR-GD evaluates all its samples
+at once, in its own workspace.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,6 +168,13 @@ _EXP2_SCALE = -0.5 / _LN2
 # (D_ab > ~745) weighs less than e^(500 - 745) relative to its row sum.
 _MC_SPREAD_LIMIT = 500.0
 
+# Largest K x chunk float array, in bytes, that the per-sample estimates of
+# :func:`_per_sample_mi` are taken in: K = 8 with up to 2048 samples is one
+# chunk, so the configs/benchmark.cfg studies keep their arithmetic; at
+# K = 64 a chunk is 256 samples, and the secrecy rate's tracemalloc peak at
+# S = 4000 is 0.6 MiB instead of 6.1 MiB in one piece.
+_MC_CHUNK_BYTES = 2**17
+
 
 def log2sumexp2(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Max-shifted log2 of a sum of 2**x terms along ``axis``.
@@ -180,12 +199,17 @@ class QuadFormCache:
     from which every vector kernel (``asr``, ``link_rate_approx``, ASR-GD
     and the rounding sweep) forms the received points; they are the
     matrices the Monte-Carlo rate whitens with, bit for bit.  Everything
-    else is derived from them at construction: ``gram_b``/``gram_e`` are the
+    else is derived from them at construction: ``factors`` stacks them as
+    one (2, N_max, N_t) array [F_b; F_e], the link with fewer receive
+    antennas padded by zero rows, so that ``asr`` and ASR-GD take both links
+    in one stacked pass (a zero row adds an exact zero to every distance and
+    every pull); ``gram_b``/``gram_e`` are the
     Grams R = F^H F = C^H Q^{-1} C (their Hermitian part,
     :func:`_factor_gram`), which only the lifted kernels of a matrix W take
     (``relaxed_asr``, SCA, ``f1``/``f2``/``grad_f1``), and ``signals_h`` is
     S^H, so that the pair kernels do not conjugate S on every call.
-    ``dataclasses.replace`` with new factors therefore rederives both Grams.
+    ``dataclasses.replace`` with new factors therefore rederives the stack
+    and both Grams.
     The pair matrix of symbols (k, k') on a link is R * conj(d d^H) with
     d = s_k - s_k'; the kernels never form it, and :meth:`pair_matrix`
     builds one on demand for checks.  The arrays
@@ -199,11 +223,18 @@ class QuadFormCache:
     M: int
     factor_b: np.ndarray
     factor_e: np.ndarray
+    factors: np.ndarray = field(init=False, repr=False, compare=False)
     gram_b: np.ndarray = field(init=False, repr=False, compare=False)
     gram_e: np.ndarray = field(init=False, repr=False, compare=False)
     signals_h: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        links = (self.factor_b, self.factor_e)
+        n_rx = max(F.shape[0] for F in links)
+        factors = np.zeros((2, n_rx, self.factor_b.shape[1]), dtype=np.result_type(*links))
+        for out, F in zip(factors, links):
+            out[: F.shape[0]] = F
+        object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "gram_b", _factor_gram(self.factor_b))
         object.__setattr__(self, "gram_e", _factor_gram(self.factor_e))
         object.__setattr__(self, "signals_h", self.signals.conj().T)
@@ -403,7 +434,9 @@ def _sq_distances(T: np.ndarray, scale: float) -> np.ndarray:
 def _constellation_terms(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-point log2 sum_b exp(-||t_a - t_b||^2 / 2) of the columns of T, and the row softmax.
 
-    ``T`` holds the received points t_k as columns (N x K).  The exponents
+    ``T`` holds the received points t_k as columns (N x K), with an optional
+    leading stack axis that is carried through (both links at once, as
+    ``QuadFormCache.factors`` gives them).  The exponents
     in base 2 are x = :func:`_sq_distances` (T, c) with c = -1/(2 ln 2),
     whose diagonal is exactly 0, hence every row sum is at least 1 and no
     max shift is needed.  Returns the K log terms and the K x K weights
@@ -412,8 +445,8 @@ def _constellation_terms(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     x = _sq_distances(T, _EXP2_SCALE)
     e = np.exp2(x, out=x)
-    sums = e.sum(axis=1)
-    e *= np.reciprocal(sums)[:, None]
+    sums = e.sum(axis=-1)
+    e *= np.reciprocal(sums)[..., None]
     return np.log2(sums, out=sums), e
 
 
@@ -470,19 +503,15 @@ def asr(cache: QuadFormCache, v: np.ndarray, clamp: bool = False) -> float:
     offsets differ between the links when N_b != N_e.  It is the mean
     difference of the links' :func:`_constellation_terms` (eavesdropper
     minus legitimate), so the log2(M*N_t) terms cancel analytically, and it
-    equals :func:`relaxed_asr` at W = v v^H to rounding.  One evaluation
-    costs O(K^2 N + K N N_t) per link with K = M*N_t.  With ``clamp`` the
+    equals :func:`relaxed_asr` at W = v v^H to rounding.  Both links are
+    taken in one stacked pass over ``cache.factors``, which costs
+    O(K^2 N + K N N_t) per link with K = M*N_t.  With ``clamp`` the
     value is floored at 0, matching the reported (rather than optimized)
     secrecy rate.
     """
     v = np.asarray(v, dtype=complex)
-    inner_b, _ = _constellation_terms(
-        _noiseless_points(cache.factor_b, v, cache.signals, cache.p1)
-    )
-    inner_e, _ = _constellation_terms(
-        _noiseless_points(cache.factor_e, v, cache.signals, cache.p1)
-    )
-    value = float(np.mean(inner_e - inner_b))
+    inner, _ = _constellation_terms(_noiseless_points(cache.factors, v, cache.signals, cache.p1))
+    value = float(np.mean(inner[1] - inner[0]))
     return max(value, 0.0) if clamp else value
 
 
@@ -525,19 +554,24 @@ def _sampled_links(
     powers: PowerConfig,
     n_samp: int,
     rng: np.random.Generator,
-) -> Iterator[_SampledLink]:
+) -> tuple[_SampledLink, _SampledLink]:
     """The legitimate and eavesdropper links, in that order, drawn with common random numbers.
 
     One seed from ``rng`` seeds both links' generators, so they draw the
     same stream of normals, which cancels shared sampling noise in the
     difference of their rates.  The channels come from
-    :func:`_whitened_channels`, as the cache's do.  Each link is drawn when
-    it is taken, so a caller that evaluates one link before it takes the
-    next holds one link's samples at a time, as the reported rate does.
+    :func:`_whitened_channels`, as the cache's do.  With as many receive
+    antennas on both links the two draws are equal bit for bit, so the
+    samples are drawn once and the eavesdropper's link holds the very
+    ``stacked`` array of the legitimate one; otherwise each link draws its
+    own, from the same seed.
     """
     seed = int(rng.integers(0, 2**63))
-    for F in _whitened_channels(channels, proj, powers):
-        yield _SampledLink.draw(F, np.random.default_rng(seed), n_samp)
+    F_b, F_e = _whitened_channels(channels, proj, powers)
+    bob = _SampledLink.draw(F_b, np.random.default_rng(seed), n_samp)
+    if F_e.shape[0] == F_b.shape[0]:
+        return bob, _SampledLink(F=F_e, stacked=bob.stacked)
+    return bob, _SampledLink.draw(F_e, np.random.default_rng(seed), n_samp)
 
 
 def _mc_exponentials(T: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -630,6 +664,24 @@ def _mc_link(
     return mi, (X * (g @ e.T), r_minus_c)
 
 
+def _per_sample_mi(T: np.ndarray, link: _SampledLink) -> np.ndarray:
+    """Per-sample estimates (S,) of :func:`_mc_link` (axis 0), taken in sample chunks.
+
+    Each chunk is as wide as fits one K x chunk float array in
+    :data:`_MC_CHUNK_BYTES`, so the working set does not grow with S.  Each
+    sample's estimate is a column of its own chunk: with one chunk (S at
+    most 2048 at K = 8) it is :func:`_mc_link`'s result bit for bit; with
+    several, BLAS may block the narrower K x K by K x chunk product
+    differently, which moves an estimate by a few ulps, and each chunk
+    picks its own kernel by its own samples' spread.
+    """
+    width = max(1, _MC_CHUNK_BYTES // (T.shape[1] * 8))
+    return np.concatenate([
+        _mc_link(T, _SampledLink(F=link.F, stacked=link.stacked[:, start : start + width]))[0]
+        for start in range(0, link.stacked.shape[1], width)
+    ])
+
+
 def _std_error(samples: np.ndarray) -> float:
     """Standard error of the mean of ``samples``; 0 for a single sample."""
     if len(samples) < 2:
@@ -654,12 +706,12 @@ def mi_monte_carlo(
     standard error is the per-sample standard deviation divided by
     sqrt(n_samp).  The value is floored at 0 (the estimator can dip below
     zero by sampling noise alone).  The samples come from ``rng`` itself
-    (:meth:`_SampledLink.draw`), and :func:`_mc_link` evaluates the link as
-    it does each link of the secrecy rate.
+    (:meth:`_SampledLink.draw`), and :func:`_per_sample_mi` evaluates the
+    link as it does each link of the secrecy rate.
     """
     link = _SampledLink.draw(whitening @ channel, rng, n_samp)
     T = _noiseless_points(link.F, np.asarray(v, dtype=complex), codebook.signal_matrix(), p1)
-    per_sample, _ = _mc_link(T, link)
+    per_sample = _per_sample_mi(T, link)
     value = float(np.mean(per_sample))
     return MIEstimate(value=max(value, 0.0), std_error=_std_error(per_sample), n_samples=n_samp)
 
@@ -679,11 +731,13 @@ def secrecy_rate_mc_estimate(
     :func:`mi_monte_carlo` values; ``std_error`` is the standard error of the
     paired per-sample differences I_b,s - I_e,s, which share their noise
     draws (:func:`_sampled_links`, as SR-GD draws its frozen samples), so it
-    is the error of the unfloored difference of the means.
+    is the error of the unfloored difference of the means.  The per-sample
+    values come from :func:`_per_sample_mi`, in chunks of bounded memory.
     """
     v = np.asarray(v, dtype=complex)
+    S = codebook.signal_matrix()
     per_b, per_e = (
-        _mc_link(_noiseless_points(link.F, v, codebook.signal_matrix(), powers.p1), link)[0]
+        _per_sample_mi(_noiseless_points(link.F, v, S, powers.p1), link)
         for link in _sampled_links(channels, proj, powers, n_samp, rng)
     )
     mi_b = max(float(np.mean(per_b)), 0.0)

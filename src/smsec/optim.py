@@ -6,7 +6,7 @@ Three methods under the power constraint tr(v v^H) <= N_t:
   secrecy rate, with step-size halving on non-improving steps.  Every step
   is renormalized onto the power sphere tr(v v^H) = N_t, so the search
   never tries a lower power.  Each candidate's value and gradient come from
-  one pass per link over its received constellation
+  one stacked pass over both links' received constellations
   (:func:`_asr_value_and_gradient`).
 * :func:`max_sr_gd`: the same ascent loop (on the same sphere) driven by
   the Monte-Carlo secrecy rate under frozen noise samples (common random
@@ -246,9 +246,9 @@ def _asr_value_and_gradient(
 ) -> tuple[float, np.ndarray]:
     """Unclamped approximate secrecy rate at v and its conjugate gradient.
 
-    Takes one :func:`_constellation_terms` pass per link, on the same
-    received points as ``asr``, so the value equals
-    ``asr(cache, v, clamp=False)`` bit for bit.  With t_k the received points
+    Takes one :func:`_constellation_terms` pass over both links, stacked as
+    ``cache.factors``, on the same received points as ``asr``, so the value
+    equals ``asr(cache, v, clamp=False)`` bit for bit.  With t_k the received points
     of a link, its log terms are l_a = log2 sum_b exp(-||t_a - t_b||^2 / 2)
     and t_a - t_b = sqrt(p1) F diag(s_a - s_b) v, so
     d l_a / d(conj v) = -sqrt(p1) / (2 ln 2) sum_b P_ab
@@ -261,33 +261,23 @@ def _asr_value_and_gradient(
     W = v v^H costs O(K N_t^2 + K^2 N_t) and agrees to rounding.
     """
     v = np.asarray(v, dtype=complex)
-    inner_b, pull_b = _constellation_pull(cache, cache.factor_b, v)
-    inner_e, pull_e = _constellation_pull(cache, cache.factor_e, v)
-    grad = np.subtract(pull_e, pull_b, out=pull_e)
-    grad *= -math.sqrt(cache.p1) / (2 * _LN2 * cache.n_signals)
-    return float(np.mean(inner_e - inner_b)), grad
-
-
-def _constellation_pull(
-    cache: QuadFormCache, F: np.ndarray, v: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Log terms of the link with whitened channel ``F`` at v, and their :func:`_pair_pull`.
-
-    The weights are the row softmax P of :func:`_constellation_terms` on the
-    link's received points, with the diagonal dropped first for the reason
-    :func:`_weighted_pair_sum` gives.
-    """
-    T = _noiseless_points(F, v, cache.signals, cache.p1)
+    T = _noiseless_points(cache.factors, v, cache.signals, cache.p1)
     inner, P = _constellation_terms(T)
-    P.reshape(-1)[:: P.shape[0] + 1] = 0.0
-    return inner, _pair_pull(T, P, F, cache.signals_h)
+    # The row softmax without its diagonal, for the reason _weighted_pair_sum gives.
+    P.reshape(2, -1)[:, :: P.shape[-1] + 1] = 0.0
+    pull = _pair_pull(T, P, cache.factors, cache.signals_h)
+    grad = np.subtract(pull[1], pull[0], out=pull[1])
+    grad *= -math.sqrt(cache.p1) / (2 * _LN2 * cache.n_signals)
+    return float(np.mean(inner[1] - inner[0])), grad
 
 
 def _pair_pull(T: np.ndarray, P: np.ndarray, F: np.ndarray, S_h: np.ndarray) -> np.ndarray:
     """sum_ab P_ab conj(s_a - s_b) * F^H (t_a - t_b) for K x K weights P, shape (N_t,).
 
     ``T`` holds a link's received points t_k (N x K), ``F`` is its whitened
-    channel and ``S_h`` is S^H.  The sum is rowsum(conj(S) * F^H (T L)) with
+    channel and ``S_h`` is S^H; a leading stack axis on ``T``, ``P`` and
+    ``F`` (both links of ``QuadFormCache.factors``) is carried through to a
+    (2, N_t) result.  The sum is rowsum(conj(S) * F^H (T L)) with
     L = diag(r + c) - P - P^T and r, c the row and column sums of P.  Since
     t_a - t_b = sqrt(p1) F diag(s_a - s_b) v, it equals
     sqrt(p1) (sum_ab P_ab A_ab) v, the lifted weighted sum
@@ -298,14 +288,14 @@ def _pair_pull(T: np.ndarray, P: np.ndarray, F: np.ndarray, S_h: np.ndarray) -> 
     colsum(conj(F) * ((T L) S^H)), whose temporaries are N x N_t instead of
     N_t x K.  ASR-GD and SR-GD take their pair terms from it.
     """
-    ones = np.ones(P.shape[0])
-    Z = np.concatenate([T.real, T.imag])
-    ZL = Z * (P @ ones + ones @ P)
+    ones = np.ones(P.shape[-1])
+    Z = np.concatenate([T.real, T.imag], axis=-2)
+    ZL = Z * (P @ ones + ones @ P)[..., None, :]
     ZL -= Z @ P
-    ZL -= Z @ P.T
-    N = T.shape[0]
+    ZL -= Z @ P.swapaxes(-1, -2)
+    N = T.shape[-2]
     LS = ZL @ S_h  # [Re(T L); Im(T L)] S^H, 2N x N_t
-    return np.sum(F.conj() * (LS[:N] + 1j * LS[N:]), axis=0)
+    return np.sum(F.conj() * (LS[..., :N, :] + 1j * LS[..., N:, :]), axis=-2)
 
 
 def _weighted_pair_sum(
@@ -397,9 +387,10 @@ def _ascend(value_and_grad, v0: np.ndarray, n_tx: int, params: GDParams) -> OptT
 def max_asr_gd(cache: QuadFormCache, v0: np.ndarray, params: GDParams) -> OptTrace:
     """Gradient ascent on the approximate secrecy rate (unclamped).
 
-    Each candidate costs one pass per link over its received constellation
-    (:func:`_asr_value_and_gradient`), which gives its value and gradient in
-    O(K^2 N + K N N_t) with K = M*N_t and N the link's receive antennas.
+    Each candidate costs one stacked pass over both links' received
+    constellations (:func:`_asr_value_and_gradient`), which gives its value
+    and gradient in O(K^2 N + K N N_t) per link with K = M*N_t and N the
+    larger link's receive antennas.
     Accepted-iterate objectives are non-decreasing by construction; the
     final vector satisfies tr(v v^H) <= N_t.
     """
@@ -411,7 +402,8 @@ class _SampledSecrecyObjective:
 
     Freezes ``n_samp`` whitened-noise realizations per link, drawn by
     ``smsec.metrics._sampled_links`` as for the reported secrecy rate
-    (identically seeded on both links), so that repeated evaluations are a
+    (identically seeded on both links, one shared draw when they have as
+    many receive antennas), so that repeated evaluations are a
     pure function of the precoder, making the ascent loop's accept/reject
     decisions and finite-difference checks well defined.  ``bob`` and
     ``eve`` are the two links; :meth:`value_and_gradient` evaluates both

@@ -10,7 +10,10 @@ the value to 1e-12 relative and the gradient to 1e-11.
 
 The pair kernels and the spectrahedron projection work in place on their own
 temporaries and take S^H from the cache.  On the same grid they must equal,
-bit for bit, the straightforward forms kept below as references.
+bit for bit, the straightforward forms kept below as references.  So must
+the stacked pass over both links (``QuadFormCache.factors``, the link with
+fewer receive antennas padded by zero rows) against the per-link kernel it
+replaced, kept below as ``ref_asr_value_and_gradient``.
 """
 
 import math
@@ -19,7 +22,8 @@ import numpy as np
 import pytest
 
 from smsec import GDParams, asr, asr_gradient, default_precoder, max_asr_gd
-from smsec.metrics import _lifted_eval, _pair_traces
+from smsec.metrics import _EXP2_SCALE, _lifted_eval, _pair_traces, _sq_distances
+from smsec.model import _noiseless_points
 from smsec.optim import (
     _ascend,
     _asr_value_and_gradient,
@@ -34,7 +38,7 @@ from conftest import make_instance
 
 SHAPES = [(4, 2), (8, 4), (16, 4)]
 SNRS_DB = [-40, 0, 15, 90]
-LINKS = [(2, 2), (2, 3), (1, 6)]
+LINKS = [(2, 2), (2, 3), (1, 6), (3, 1)]
 LN2 = math.log(2.0)
 
 
@@ -86,6 +90,33 @@ def ref_project_spectrahedron(W, budget):
     return (out + out.conj().T) / 2
 
 
+def ref_link_pull(cache, F, v):
+    """One link's log terms and pair pull, as ASR-GD took them one link at a time."""
+    T = _noiseless_points(F, v, cache.signals, cache.p1)
+    x = _sq_distances(T, _EXP2_SCALE)
+    e = np.exp2(x, out=x)
+    sums = e.sum(axis=1)
+    e *= np.reciprocal(sums)[:, None]
+    inner, P = np.log2(sums, out=sums), e
+    P.reshape(-1)[:: P.shape[0] + 1] = 0.0
+    ones = np.ones(P.shape[0])
+    Z = np.concatenate([T.real, T.imag])
+    ZL = Z * (P @ ones + ones @ P)
+    ZL -= Z @ P
+    ZL -= Z @ P.T
+    N = T.shape[0]
+    LS = ZL @ cache.signals_h
+    return inner, np.sum(F.conj() * (LS[:N] + 1j * LS[N:]), axis=0)
+
+
+def ref_asr_value_and_gradient(cache, v):
+    inner_b, pull_b = ref_link_pull(cache, cache.factor_b, v)
+    inner_e, pull_e = ref_link_pull(cache, cache.factor_e, v)
+    grad = np.subtract(pull_e, pull_b, out=pull_e)
+    grad *= -math.sqrt(cache.p1) / (2 * LN2 * cache.n_signals)
+    return float(np.mean(inner_e - inner_b)), grad
+
+
 def cases():
     for n_tx, M in SHAPES:
         for snr_db in SNRS_DB:
@@ -118,6 +149,16 @@ def test_fused_pass_equals_separate_evaluations(n_tx, M, snr_db, n_b, n_e):
     lifted = relaxed_asr(cache, np.outer(v, v.conj()))
     assert asr(cache, v, clamp=False) == pytest.approx(lifted, rel=1e-12, abs=0.0)
     np.testing.assert_array_equal(grad, asr_gradient(cache, v))
+
+
+@pytest.mark.parametrize("n_tx,M,snr_db,n_b,n_e", cases())
+def test_stacked_pass_equals_the_per_link_kernel(n_tx, M, snr_db, n_b, n_e):
+    cache, v = case_instance(n_tx, M, snr_db, n_b, n_e)
+    assert cache.factors.shape == (2, max(n_b, n_e), n_tx)
+    value, grad = _asr_value_and_gradient(cache, v)
+    want_value, want_grad = ref_asr_value_and_gradient(cache, v)
+    assert value == want_value
+    np.testing.assert_array_equal(grad, want_grad)
 
 
 @pytest.mark.parametrize("n_tx,M,snr_db,n_b,n_e", cases())

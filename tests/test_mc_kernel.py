@@ -7,7 +7,9 @@ differences and a three-operand einsum.  ``_mc_link`` serves the secrecy
 rate and SR-GD alike and chooses the kernel: the factored one (S K shifted
 exponentials and K x K by K x S products) or, beyond its spread limit, the
 direct one (all S K^2 exponentials from one broadcast of u = 2 Re(T^H W)
-and the K x K Gram of T).
+and the K x K Gram of T).  The reported rate draws the samples once for
+links of equal size and takes its per-sample estimates in chunks of bounded
+memory (``_per_sample_mi``), which must match one ``_mc_link`` call.
 """
 
 import math
@@ -18,7 +20,15 @@ import pytest
 from scipy.special import softmax
 
 from smsec import metrics, optim, secrecy_rate_mc
-from smsec.metrics import _mc_exponentials, _mc_link, _sampled_links, secrecy_rate_mc_estimate
+from smsec.metrics import (
+    _SampledLink,
+    _mc_exponentials,
+    _mc_link,
+    _per_sample_mi,
+    _sampled_links,
+    _whitened_channels,
+    secrecy_rate_mc_estimate,
+)
 from smsec.model import _noiseless_points
 from smsec.optim import _SampledSecrecyObjective
 
@@ -220,3 +230,64 @@ def test_secrecy_rate_memory_stays_linear_in_samples():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+def test_secrecy_rate_memory_stays_bounded_at_many_samples():
+    """At K = 64 and 4000 samples one K x S float array alone is 2 MiB."""
+    channels, proj, powers, codebook, _ = make_instance(seed=4, n_tx=16, M=4)
+    v = np.ones(16, dtype=complex)
+    rng = np.random.default_rng(2)
+    tracemalloc.start()
+    try:
+        secrecy_rate_mc(channels, proj, powers, codebook, v, 4000, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("n_b,n_e", [(2, 2), (1, 3), (3, 1)])
+def test_links_draw_their_samples_once(n_b, n_e):
+    channels, proj, powers, *_ = make_instance(seed=6, n_b=n_b, n_e=n_e)
+    bob, eve = _sampled_links(channels, proj, powers, 30, np.random.default_rng(3))
+    seed = int(np.random.default_rng(3).integers(0, 2**63))
+    for link, F in zip((bob, eve), _whitened_channels(channels, proj, powers)):
+        assert np.array_equal(link.F, F)
+        want = _SampledLink.draw(F, np.random.default_rng(seed), 30)
+        assert np.array_equal(link.stacked, want.stacked)
+    assert (eve.stacked is bob.stacked) == (n_b == n_e)
+
+
+def count_mc_link_widths(monkeypatch):
+    """The sample counts ``_mc_link`` is called with, through a spy."""
+    widths = []
+
+    def spy(T, link, *args, **kwargs):
+        widths.append(link.stacked.shape[1])
+        return _mc_link(T, link, *args, **kwargs)
+
+    monkeypatch.setattr(metrics, "_mc_link", spy)
+    return widths
+
+
+@pytest.mark.parametrize(
+    "n_tx,M,n_samp,chunks", [(4, 2, 500, 1), (4, 2, 2000, 1), (16, 4, 500, 2), (16, 4, 4000, 16)]
+)
+def test_chunked_estimates_match_one_kernel_call(monkeypatch, n_tx, M, n_samp, chunks):
+    # One chunk is the kernel's result bit for bit.  Several may move an
+    # estimate, log2 K minus a mean of log terms, by a few ulps of log2 K.
+    channels, proj, powers, codebook, _ = make_instance(seed=4, n_tx=n_tx, M=M, sigma2=1.0)
+    K = codebook.n_signals
+    v = np.ones(n_tx, dtype=complex)
+    for link in _sampled_links(channels, proj, powers, n_samp, np.random.default_rng(2)):
+        T = _noiseless_points(link.F, v, codebook.signal_matrix(), powers.p1)
+        want, _ = _mc_link(T, link)
+        widths = count_mc_link_widths(monkeypatch)
+        got = _per_sample_mi(T, link)
+        monkeypatch.undo()
+        assert len(widths) == chunks and sum(widths) == n_samp
+        assert max(widths) * K * 8 <= metrics._MC_CHUNK_BYTES
+        if chunks == 1:
+            np.testing.assert_array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=0, atol=4 * np.spacing(np.log2(K)))

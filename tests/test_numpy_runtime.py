@@ -5,7 +5,9 @@
   scipy blocked and imports no further module once smsec is loaded.
 * :class:`~smsec.metrics.QuadFormCache` derives each link's Gram (the
   Hermitian part of F^H F) and its rank bound min(N, N_t) from the whitened
-  channel F, and SR-GD's frozen links take the same Gram.
+  channel F, and SR-GD's frozen links take the same Gram.  It also derives
+  the stack of both links' F that ``asr`` and ASR-GD take in one pass, the
+  shorter link padded by zero rows.
 * SR-GD's factored kernel writes its K x S arrays into one workspace owned
   by the objective: an evaluation allocates no array of that size, and its
   results equal those of the allocating kernel kept below, bit for bit.
@@ -128,6 +130,28 @@ def test_grams_are_not_constructor_arguments():
             factor_e=cache.factor_e,
             gram_b=cache.gram_b,
             gram_e=cache.gram_e,
+        )
+
+
+@pytest.mark.parametrize("n_b,n_e", [(1, 3), (2, 2), (3, 1)])
+def test_the_link_stack_is_derived_from_the_factors(n_b, n_e):
+    *_, cache = make_instance(seed=2, n_tx=4, n_b=n_b, n_e=n_e)
+    swapped = dataclasses.replace(cache, factor_b=cache.factor_e, factor_e=cache.factor_b)
+    for c in (cache, swapped):
+        n_rx = max(n_b, n_e)
+        assert c.factors.shape == (2, n_rx, 4)
+        for stacked, F in zip(c.factors, (c.factor_b, c.factor_e)):
+            assert np.array_equal(stacked[: F.shape[0]], F)
+            assert not np.any(stacked[F.shape[0] :])
+    with pytest.raises(TypeError):
+        QuadFormCache(
+            signals=cache.signals,
+            p1=cache.p1,
+            n_tx=cache.n_tx,
+            M=cache.M,
+            factor_b=cache.factor_b,
+            factor_e=cache.factor_e,
+            factors=cache.factors,
         )
 
 
