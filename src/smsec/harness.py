@@ -325,10 +325,6 @@ def _start_vector(config: ExperimentConfig, trial: int) -> np.ndarray:
 def _optimize(
     method: Method,
     cache,
-    channels: ChannelPair,
-    proj,
-    powers: PowerConfig,
-    codebook,
     config: ExperimentConfig,
     v0: np.ndarray,
     opt_rng: np.random.Generator,
@@ -340,9 +336,7 @@ def _optimize(
         trace = max_asr_gd(cache, v0, config.gd)
         return trace.final_vector, trace
     if method is Method.MAX_SR_GD:
-        trace = max_sr_gd(
-            channels, proj, powers, codebook, v0, config.gd, config.n_samp, opt_rng
-        )
+        trace = max_sr_gd(cache, v0, config.gd, config.n_samp, opt_rng)
         return trace.final_vector, trace
     if method is Method.MAX_ASR_SCA:
         w_star, trace = max_asr_sca(cache, v0, config.sca)
@@ -374,9 +368,7 @@ def _per_trial_rates(
             cache = build_cache(channels, proj, powers, codebook)
             for method in config.methods:
                 opt_rng = substream(config.seed, "opt", method.value, si, trial)
-                v, trace = _optimize(
-                    method, cache, channels, proj, powers, codebook, config, v0, opt_rng
-                )
+                v, trace = _optimize(method, cache, config, v0, opt_rng)
                 if evaluate:
                     eval_rng = substream(config.seed, "eval", si, trial)
                     sr = secrecy_rate_mc(

@@ -75,13 +75,14 @@ an exactly zero diagonal in ``_sq_distances``, so each row sum is at least
 1 and its log2 is finite and nonnegative, at every power of the sweep too.
 
 The Monte-Carlo estimate rests on the same pairwise structure, and one
-code path serves the secrecy rate, ``mi_monte_carlo`` and SR-GD
-(``smsec.optim``).  A link is a :class:`_SampledLink`: its whitened channel
-F (from :func:`_whitened_channels`, which ``build_cache`` also uses) and S
-frozen noise samples w_s.  :func:`_sampled_links` draws both links of an
-evaluation from one seed (common random numbers); when both links have as
-many receive antennas the two draws are equal, so the samples are drawn
-once and shared.  With
+chunked evaluator, :func:`_mc_link`, serves the secrecy rate,
+``mi_monte_carlo`` and SR-GD (``smsec.optim``).  A link is a
+:class:`_SampledLink`: its whitened channel F (from
+:func:`_whitened_channels`, which ``build_cache`` also uses, so SR-GD draws
+on the cache's factors) and S frozen noise samples w_s.
+:func:`_sampled_links` draws both links of an evaluation from one seed
+(common random numbers); when both links have as many receive antennas the
+two draws are equal, so the samples are drawn once and shared.  With
 T = sqrt(p1) F diag(v) S (N x K) the noise-free received points t_k and
 u = 2 Re(T^H W) (K x S) for the samples W = [w_1 ... w_S], the exponent of
 pair (a, b) under sample s is
@@ -90,36 +91,41 @@ pair (a, b) under sample s is
 
 which separates: sum_b exp(E_sab) = exp(-u_sa) sum_b X_ab exp(u_sb) with
 X_ab = exp(-||t_a - t_b||^2) (K x K, unit diagonal).  :func:`_mc_link`
-forms u once per link evaluation and takes every row sum from it.  The
-factored kernel shifts each sample by c_s = max_b u_sb, takes the S K
-exponentials e = exp(u - c) and gets every row sum from one K x K by
-K x S matrix product, as 1 + (X' e)_as / e_as with X' the off-diagonal
-part of X.  That is O(S K^2 + S K N) time, O(S K + K^2) memory and
-O(S K + K^2) exponentials instead of S K^2 (see Blanchard, Higham &
-Higham, "Accurately computing the log-sum-exp and softmax functions",
-IMA J. Numer. Anal. 2021, for the shift).  The diagonal term is exactly 1
-in floating point, so every row sum is at least 1 and its log2 is finite
-and nonnegative.  SR-GD's gradient weights come from the same factors, by
-the same function.
+forms X once per link evaluation and takes the samples in chunks, each as
+wide as fits one K x chunk float array in ``_MC_CHUNK_BYTES`` (128 KiB),
+so no caller's working set grows with S.  Each chunk (:func:`_mc_chunk`)
+forms its columns of u and takes every row sum from them.  The factored
+kernel shifts each sample by c_s = max_b u_sb, takes the exponentials
+e = exp(u - c) and gets every row sum from one K x K by K x chunk matrix
+product, as 1 + (X' e)_as / e_as with X' the off-diagonal part of X.  That
+is O(S K^2 + S K N) time, O(chunk K + K^2) memory and O(S K + K^2)
+exponentials instead of S K^2 (see Blanchard, Higham & Higham, "Accurately
+computing the log-sum-exp and softmax functions", IMA J. Numer. Anal.
+2021, for the shift).  The diagonal term is exactly 1 in floating point,
+so every row sum is at least 1 and its log2 is finite and nonnegative.
+For SR-GD the evaluator also sums the gradient's pair weights over the
+chunks, from the same factors, into a workspace of one chunk's four
+K x chunk arrays; no K x S array leaves it.
 
 The factored form is exact only while each sample's spread
 max_b u_sb - min_b u_sb stays below ``_MC_SPREAD_LIMIT`` (500, fixed by
 the double-precision range; see its comment).  The spread grows with the
 received amplitude: at the ``configs/benchmark.cfg`` shape the legitimate
-link passes the limit at about 30-35 dB.  A call in which any sample
+link passes the limit at about 30-35 dB.  A chunk in which any sample
 exceeds it takes the direct kernel ``_mc_exponentials`` on the same u,
-which forms all S K^2 exponentials E_sab <= ||w_s||^2 by one broadcast
-(O(S K^2) memory); it needs no shift, since for CN(0, I_N) samples
-||w_s||^2 stays far below the ~709 at which exp overflows.
-:func:`_mc_link` is the only place that chooses between the two kernels.
+which forms the chunk's K^2 exponentials E_sab <= ||w_s||^2 per sample by
+one broadcast (O(chunk K^2) memory); it needs no shift, since for
+CN(0, I_N) samples ||w_s||^2 stays far below the ~709 at which exp
+overflows.  Each chunk picks its kernel by its own samples' spread, and
+:func:`_mc_chunk` is the only place that chooses.  At K = 256 (4
+antennas, 64-QAM) a chunk is 64 samples: at 30 dB, where every chunk is
+direct, an SR-GD run peaks at about 34 MiB instead of 258 MiB with all
+samples at once, and at 10 dB the narrow factored chunks make it about
+1.2x slower than one pass.
 
 ``secrecy_rate_mc_estimate`` adds the standard error of the secrecy rate:
 both links draw the same noise (common random numbers), so it is the
-error of the paired per-sample differences.  It and ``mi_monte_carlo`` take
-their per-sample estimates in sample chunks (:func:`_per_sample_mi`), each
-as wide as fits one K x chunk float array in ``_MC_CHUNK_BYTES`` (128 KiB),
-so their working set does not grow with S; SR-GD evaluates all its samples
-at once, in its own workspace.
+error of the paired per-sample differences.
 """
 
 from __future__ import annotations
@@ -161,18 +167,20 @@ _JENSEN_GAP = 1.0 / _LN2 - 1.0
 _EXP2_SCALE = -0.5 / _LN2
 
 # Largest per-sample spread max_b u_sb - min_b u_sb (natural-log units) for
-# which :func:`_mc_link` takes the factored kernel.  Below it, in double
+# which a chunk of :func:`_mc_link` takes the factored kernel.  Below it, in double
 # precision, every shifted exponential e = exp(u - max u) is at least e^-500,
 # a normal float; the reciprocal row sums 1 / (e + X e) <= e^500 keep SR-GD's
 # matrix products finite; and a pair whose exp(-D_ab) underflows
 # (D_ab > ~745) weighs less than e^(500 - 745) relative to its row sum.
 _MC_SPREAD_LIMIT = 500.0
 
-# Largest K x chunk float array, in bytes, that the per-sample estimates of
-# :func:`_per_sample_mi` are taken in: K = 8 with up to 2048 samples is one
-# chunk, so the configs/benchmark.cfg studies keep their arithmetic; at
-# K = 64 a chunk is 256 samples, and the secrecy rate's tracemalloc peak at
-# S = 4000 is 0.6 MiB instead of 6.1 MiB in one piece.
+# Largest K x chunk float array, in bytes, that :func:`_mc_link` takes its
+# samples in, for the secrecy rate, mi_monte_carlo and SR-GD alike: K = 8
+# with up to 2048 samples is one chunk, so the configs/benchmark.cfg studies
+# keep their arithmetic; at K = 64 a chunk is 256 samples, and at S = 4000
+# the secrecy rate's tracemalloc peak is 0.6 MiB instead of 6.1 MiB in one
+# piece; at K = 256 a chunk is 64 samples, and a direct-kernel chunk's
+# (K, K, 64) exponentials (32 MiB) set SR-GD's peak at high SNR.
 _MC_CHUNK_BYTES = 2**17
 
 
@@ -549,25 +557,20 @@ class _SampledLink:
 
 
 def _sampled_links(
-    channels: ChannelPair,
-    proj: ANProjector,
-    powers: PowerConfig,
-    n_samp: int,
-    rng: np.random.Generator,
+    F_b: np.ndarray, F_e: np.ndarray, n_samp: int, rng: np.random.Generator
 ) -> tuple[_SampledLink, _SampledLink]:
     """The legitimate and eavesdropper links, in that order, drawn with common random numbers.
 
-    One seed from ``rng`` seeds both links' generators, so they draw the
-    same stream of normals, which cancels shared sampling noise in the
-    difference of their rates.  The channels come from
-    :func:`_whitened_channels`, as the cache's do.  With as many receive
-    antennas on both links the two draws are equal bit for bit, so the
-    samples are drawn once and the eavesdropper's link holds the very
-    ``stacked`` array of the legitimate one; otherwise each link draws its
-    own, from the same seed.
+    ``F_b`` and ``F_e`` are the links' whitened channels, as
+    :func:`_whitened_channels` gives them and the cache holds them.  One
+    seed from ``rng`` seeds both links' generators, so they draw the same
+    stream of normals, which cancels shared sampling noise in the
+    difference of their rates.  With as many receive antennas on both links
+    the two draws are equal bit for bit, so the samples are drawn once and
+    the eavesdropper's link holds the very ``stacked`` array of the
+    legitimate one; otherwise each link draws its own, from the same seed.
     """
     seed = int(rng.integers(0, 2**63))
-    F_b, F_e = _whitened_channels(channels, proj, powers)
     bob = _SampledLink.draw(F_b, np.random.default_rng(seed), n_samp)
     if F_e.shape[0] == F_b.shape[0]:
         return bob, _SampledLink(F=F_e, stacked=bob.stacked)
@@ -594,92 +597,130 @@ def _mc_exponentials(T: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.exp(expo, out=expo)
 
 
+def _mc_chunk_width(K: int, n_samp: int) -> int:
+    """Samples per chunk of :func:`_mc_link`: one K x chunk float array fits the budget."""
+    return min(n_samp, max(1, _MC_CHUNK_BYTES // (8 * K)))
+
+
 def _mc_link(
     T: np.ndarray,
     link: _SampledLink,
-    axis: int | None = 0,
+    z: np.ndarray | None = None,
     work: np.ndarray | None = None,
-    weights: bool = False,
-) -> tuple[np.ndarray | float, tuple[np.ndarray, np.ndarray] | None]:
-    """Sampled mutual information of one link at its received points, by either kernel.
+) -> np.ndarray | tuple[float, np.ndarray, np.ndarray]:
+    """Sampled mutual information of one link at its received points, in sample chunks.
 
     ``T`` = sqrt(p1) F diag(v) S holds the noise-free received points of
     ``link`` as columns (N x K).  With inner_as = log2 sum_b exp(E_sab)
-    (K x S), returns log2 K - mean(inner, ``axis``): the per-sample estimates
-    (S,) for axis 0, the link's estimate for axis None.  u = 2 Re(T^H W) is
-    formed once, as one real product with ``link.stacked``.  While every
-    sample's spread max_b u_sb - min_b u_sb is at most
-    :data:`_MC_SPREAD_LIMIT` the row sums come from the factored kernel:
-    with c_s = max_b u_sb, e = exp(u - c) and X = exp(-D),
+    (K x S), the link's estimate is log2 K - mean(inner).  X = exp(-D),
     D_ab = ||t_a - t_b||^2 (:func:`_sq_distances`), with its unit diagonal
-    zeroed,
+    zeroed, is formed once; the samples are then taken in chunks of
+    :func:`_mc_chunk_width` samples, each by :func:`_mc_chunk`, which picks
+    the factored or the direct kernel by the chunk's own spread.  Each
+    chunk's arrays are freed before the next chunk's are allocated, so the
+    working set does not grow with S.
+
+    Without ``z`` returns the per-sample estimates (S,), log2 K minus the
+    mean of each sample's column of inner.  ``z`` is SR-GD's samples
+    z_s = F^H w_s as the real S x 2N_t array [Re z, Im z]; with it, returns
+    the link's estimate, log2 K minus the sum of all K S log terms divided by
+    K S, as if all samples were taken at once, and
+    SR-GD's pair weights summed over the chunks: P (K x K), the summed
+    off-diagonal softmax weights of E over the samples, and
+    M = sum_s (r_s - c_s) z_s (K x 2N_t), r and c the row and column sums
+    of each sample's weights.  ``work``, a float array of shape
+    (4, K, :func:`_mc_chunk_width`), holds each chunk's four K x chunk
+    arrays instead of new ones, with the same bits.  With one chunk
+    (K = 8 with S up to 2048) every result is that of the whole sample set
+    bit for bit; with several, BLAS may block the narrower products
+    differently, which moves a result by a few ulps.
+    """
+    K, n_samp = T.shape[1], link.stacked.shape[1]
+    width = _mc_chunk_width(K, n_samp)
+    chunks = [slice(start, start + width) for start in range(0, n_samp, width)]
+    points = (2 * np.concatenate([T.real, T.imag])).T
+    X = _sq_distances(T, -1.0)
+    np.exp(X, out=X)
+    np.fill_diagonal(X, 0.0)
+    if z is None:
+        return np.concatenate([_mc_chunk(T, points, X, link.stacked[:, c], work) for c in chunks])
+    P, M = np.zeros((K, K)), np.zeros((K, z.shape[1]))
+    total = sum(_mc_chunk(T, points, X, link.stacked[:, c], work, (z[c], P, M)) for c in chunks)
+    return np.log2(K) - total / (K * n_samp), P, M
+
+
+def _mc_chunk(
+    T: np.ndarray,
+    points: np.ndarray,
+    X: np.ndarray,
+    stacked: np.ndarray,
+    work: np.ndarray | None,
+    weights: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray | float:
+    """One sample chunk of :func:`_mc_link`, by the kernel its samples' spread picks.
+
+    ``points`` is (2 [Re T; Im T])^T, ``X`` the zero-diagonal exp(-D) and
+    ``stacked`` the chunk's samples (2N x w), so u = 2 Re(T^H W) (K x w) is
+    one real product.  While every sample's spread
+    max_b u_sb - min_b u_sb is at most :data:`_MC_SPREAD_LIMIT` the row sums
+    come from the factored kernel: with c_s = max_b u_sb and e = exp(u - c),
 
         sum_b exp(E_sab) = (e_as + (X e)_as) / e_as = 1 + (X e)_as / e_as,
 
-    O(K S) exponentials and one K x K by K x S product.  Beyond the limit
+    O(K w) exponentials and one K x K by K x w product.  Beyond the limit
     they come from :func:`_mc_exponentials` on the same u.  On both paths
     the diagonal term is exactly 1: with no signal (T = 0) and K a power of
-    two every entry of inner is log2(K) bit for bit.
+    two every log term is log2(K) bit for bit.
 
-    The second value is None unless ``weights``, and then SR-GD's pair
-    weights: the summed off-diagonal softmax weights of E over the samples
-    (K x K) and their row-minus-column sums per sample (K x S).  From the
-    factors, with g = 1 / (e + X e) the off-diagonal weights are
-    X_ab e_bs g_as, so their sum over samples is X * (g e^T), their row sums
-    are g * (X e) and, X being symmetric, their column sums are e * (X g);
-    the zero-diagonal X for the row sums avoids forming 1 - (a weight near
-    1).  With ``work``, a float array of shape (4, K, S), u and e, X e,
-    inner then g, and r - c are written to its slots instead of new arrays,
-    with the same bits, so the mean is taken before g reuses inner's slot.
+    Without ``weights`` returns the chunk's per-sample estimates (w,).
+    With ``weights`` = (z, P, M), z the chunk's rows of SR-GD's samples,
+    returns the sum of the chunk's log terms and adds its pair weights to P
+    and M in place.  From the factors, with g = 1 / (e + X e) the
+    off-diagonal weights are X_ab e_bs g_as, so their sum over samples is
+    X * (g e^T), their row sums are g * (X e) and, X being symmetric, their
+    column sums are e * (X g); the zero-diagonal X for the row sums avoids
+    forming 1 - (a weight near 1).  With ``work`` the factored kernel's four
+    K x w arrays (u and e, X e, inner then g, and r - c) are contiguous
+    views of its slots, so the log terms are summed before g reuses
+    inner's slot; the direct kernel writes u and r - c there.
     """
-    K = T.shape[1]
-    u_out, xe_out, inner_out, rc_out = (None,) * 4 if work is None else work
-    u = np.matmul((2 * np.concatenate([T.real, T.imag])).T, link.stacked, out=u_out)
+    K, width = X.shape[0], stacked.shape[1]
+    slots = [None] * 4
+    if work is not None:
+        slots = work.reshape(4, -1)[:, : K * width].reshape(4, K, width)
+    u = np.matmul(points, stacked, out=slots[0])
     top = u.max(axis=0)
-    if np.max(top - u.min(axis=0)) > _MC_SPREAD_LIMIT:
+    direct = np.max(top - u.min(axis=0)) > _MC_SPREAD_LIMIT
+    if direct:
         expo = _mc_exponentials(T, u)
         sums = expo.sum(axis=1)
-        mi = np.log2(K) - np.mean(np.log2(sums), axis=axis)
-        if not weights:
-            return mi, None
+        inner = np.log2(sums)
+    else:
+        u -= top
+        e = np.exp(u, out=u)
+        Xe = np.matmul(X, e, out=slots[1])
+        inner = np.divide(Xe, e, out=slots[2])
+        inner += 1.0
+        np.log2(inner, out=inner)
+    if weights is None:
+        return np.log2(K) - np.mean(inner, axis=0)
+    z, P, M = weights
+    total = np.sum(inner)
+    if direct:
         expo /= sums[:, None, :]  # the softmax weights, indexed [a, b, s]
         expo[np.arange(K), np.arange(K)] = 0.0
-        return mi, (expo.sum(axis=2), expo.sum(axis=1) - expo.sum(axis=0))
-    u -= top
-    e = np.exp(u, out=u)
-    X = np.exp(_sq_distances(T, -1.0))
-    np.fill_diagonal(X, 0.0)
-    Xe = np.matmul(X, e, out=xe_out)
-    inner = np.divide(Xe, e, out=inner_out)
-    inner += 1.0
-    mi = np.log2(K) - np.mean(np.log2(inner, out=inner), axis=axis)
-    if not weights:
-        return mi, None
-    g = np.add(e, Xe, out=inner_out)
-    np.reciprocal(g, out=g)
-    r_minus_c = np.matmul(X, g, out=rc_out)
-    r_minus_c *= e
-    Xe *= g
-    np.subtract(Xe, r_minus_c, out=r_minus_c)
-    return mi, (X * (g @ e.T), r_minus_c)
-
-
-def _per_sample_mi(T: np.ndarray, link: _SampledLink) -> np.ndarray:
-    """Per-sample estimates (S,) of :func:`_mc_link` (axis 0), taken in sample chunks.
-
-    Each chunk is as wide as fits one K x chunk float array in
-    :data:`_MC_CHUNK_BYTES`, so the working set does not grow with S.  Each
-    sample's estimate is a column of its own chunk: with one chunk (S at
-    most 2048 at K = 8) it is :func:`_mc_link`'s result bit for bit; with
-    several, BLAS may block the narrower K x K by K x chunk product
-    differently, which moves an estimate by a few ulps, and each chunk
-    picks its own kernel by its own samples' spread.
-    """
-    width = max(1, _MC_CHUNK_BYTES // (T.shape[1] * 8))
-    return np.concatenate([
-        _mc_link(T, _SampledLink(F=link.F, stacked=link.stacked[:, start : start + width]))[0]
-        for start in range(0, link.stacked.shape[1], width)
-    ])
+        P += expo.sum(axis=2)
+        r_minus_c = np.subtract(expo.sum(axis=1), expo.sum(axis=0), out=slots[3])
+    else:
+        g = np.add(e, Xe, out=slots[2])
+        np.reciprocal(g, out=g)
+        r_minus_c = np.matmul(X, g, out=slots[3])
+        r_minus_c *= e
+        Xe *= g
+        np.subtract(Xe, r_minus_c, out=r_minus_c)
+        P += X * (g @ e.T)
+    M += r_minus_c @ z
+    return total
 
 
 def _std_error(samples: np.ndarray) -> float:
@@ -706,12 +747,12 @@ def mi_monte_carlo(
     standard error is the per-sample standard deviation divided by
     sqrt(n_samp).  The value is floored at 0 (the estimator can dip below
     zero by sampling noise alone).  The samples come from ``rng`` itself
-    (:meth:`_SampledLink.draw`), and :func:`_per_sample_mi` evaluates the
-    link as it does each link of the secrecy rate.
+    (:meth:`_SampledLink.draw`), and :func:`_mc_link` evaluates the link as
+    it does each link of the secrecy rate.
     """
     link = _SampledLink.draw(whitening @ channel, rng, n_samp)
     T = _noiseless_points(link.F, np.asarray(v, dtype=complex), codebook.signal_matrix(), p1)
-    per_sample = _per_sample_mi(T, link)
+    per_sample = _mc_link(T, link)
     value = float(np.mean(per_sample))
     return MIEstimate(value=max(value, 0.0), std_error=_std_error(per_sample), n_samples=n_samp)
 
@@ -732,14 +773,12 @@ def secrecy_rate_mc_estimate(
     paired per-sample differences I_b,s - I_e,s, which share their noise
     draws (:func:`_sampled_links`, as SR-GD draws its frozen samples), so it
     is the error of the unfloored difference of the means.  The per-sample
-    values come from :func:`_per_sample_mi`, in chunks of bounded memory.
+    values come from :func:`_mc_link`, in chunks of bounded memory.
     """
     v = np.asarray(v, dtype=complex)
     S = codebook.signal_matrix()
-    per_b, per_e = (
-        _per_sample_mi(_noiseless_points(link.F, v, S, powers.p1), link)
-        for link in _sampled_links(channels, proj, powers, n_samp, rng)
-    )
+    links = _sampled_links(*_whitened_channels(channels, proj, powers), n_samp, rng)
+    per_b, per_e = (_mc_link(_noiseless_points(link.F, v, S, powers.p1), link) for link in links)
     mi_b = max(float(np.mean(per_b)), 0.0)
     mi_e = max(float(np.mean(per_e)), 0.0)
     return MIEstimate(

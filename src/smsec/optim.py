@@ -11,7 +11,10 @@ Three methods under the power constraint tr(v v^H) <= N_t:
 * :func:`max_sr_gd`: the same ascent loop (on the same sphere) driven by
   the Monte-Carlo secrecy rate under frozen noise samples (common random
   numbers), so the objective and its sample-average gradient are
-  deterministic within a run.
+  deterministic within a run.  Like the other two it takes the
+  :class:`QuadFormCache`: its samples are drawn on the cache's whitened
+  channels, and ``_mc_link``, the chunked evaluator of the reported rate,
+  gives each link's value and gradient weights in one pass.
 * :func:`max_asr_sca`: lift to W = v v^H, drop the rank-one constraint,
   and maximize the resulting difference of convex log-sum-exp terms by
   successive convex approximation: linearize the convex (eavesdropper)
@@ -54,6 +57,7 @@ from .metrics import (
     _SampledLink,
     _constellation_terms,
     _lifted_eval,
+    _mc_chunk_width,
     _mc_link,
     _sampled_links,
     _sq_distances,
@@ -61,13 +65,7 @@ from .metrics import (
     asr,  # not called here; tracing patches smsec.optim.asr, so the name stays
     relaxed_asr,  # max_asr_sca calls it through this namespace, which tracing patches
 )
-from .model import (
-    ANProjector,
-    ChannelPair,
-    PowerConfig,
-    SMCodebook,
-    _noiseless_points,
-)
+from .model import _noiseless_points
 
 __all__ = [
     "GDParams",
@@ -401,37 +399,32 @@ class _SampledSecrecyObjective:
     """Monte-Carlo secrecy rate with frozen noise: deterministic in v.
 
     Freezes ``n_samp`` whitened-noise realizations per link, drawn by
-    ``smsec.metrics._sampled_links`` as for the reported secrecy rate
-    (identically seeded on both links, one shared draw when they have as
-    many receive antennas), so that repeated evaluations are a
-    pure function of the precoder, making the ascent loop's accept/reject
-    decisions and finite-difference checks well defined.  ``bob`` and
-    ``eve`` are the two links; :meth:`value_and_gradient` evaluates both
-    with ``smsec.metrics._mc_link``, which also gives the gradient's pair
-    weights.  Its four K x S arrays per link live in one (4, K, S) workspace
-    that both links share, so an evaluation allocates no array of that size.
+    ``smsec.metrics._sampled_links`` on the cache's whitened channels as for
+    the reported secrecy rate (identically seeded on both links, one shared
+    draw when they have as many receive antennas), so that repeated
+    evaluations are a pure function of the precoder, making the ascent
+    loop's accept/reject decisions and finite-difference checks well
+    defined.  S, S^H and p1 are read from ``cache``.  ``bob`` and ``eve`` are
+    the two links; :meth:`value_and_gradient` evaluates both with
+    ``smsec.metrics._mc_link``, in the sample chunks the reported rate
+    takes, and the evaluator also sums the gradient's pair weights over the
+    chunks.  Each chunk's four K x chunk arrays live in one
+    (4, K, chunk) workspace that both links share, so an evaluation
+    allocates no array of that size and the workspace does not grow with
+    ``n_samp`` beyond one chunk (512 KiB at K = 64).
     """
 
-    def __init__(
-        self,
-        channels: ChannelPair,
-        proj: ANProjector,
-        powers: PowerConfig,
-        codebook: SMCodebook,
-        n_samp: int,
-        rng: np.random.Generator,
-    ):
-        self.signals = codebook.signal_matrix()
-        self.signals_h = self.signals.conj().T
-        self.p1 = powers.p1
-        self.bob, self.eve = _sampled_links(channels, proj, powers, n_samp, rng)
+    def __init__(self, cache: QuadFormCache, n_samp: int, rng: np.random.Generator):
+        self.cache = cache
+        self.bob, self.eve = _sampled_links(cache.factor_b, cache.factor_e, n_samp, rng)
         # z_s = F^H w_s of each link as the real S x 2N_t array [Re z, Im z],
         # so the gradient contracts it with one real matrix product.
         self.z_bob, self.z_eve = (
             np.hstack([z.real, z.imag])
             for z in (link.noise @ link.F.conj() for link in (self.bob, self.eve))
         )
-        self._work = np.empty((4, self.signals.shape[1], n_samp))
+        K = cache.n_signals
+        self._work = np.empty((4, K, _mc_chunk_width(K, n_samp)))
 
     def value_and_gradient(self, v: np.ndarray) -> tuple[float, np.ndarray]:
         """Sampled secrecy rate I(bob) - I(eve) at v and its conjugate gradient."""
@@ -452,26 +445,22 @@ class _SampledSecrecyObjective:
         # P = sum_s w, as alpha = t_a - t_b: the _pair_pull of the received
         # points T.  The z_s part is sum_s z_s * (conj(S) (r_s - c_s))
         # with r, c the row and column sums of w, taken as
-        # rowsum(conj(S) * M^T) with M = (r - c) z (K x N_t).  The diagonal
-        # (d = 0) is dropped before summing: it adds nothing, but at high SNR
-        # its weight is ~1 and would swamp the off-diagonal terms.
-        S = self.signals
-        K = S.shape[1]
-        T = _noiseless_points(link.F, v, S, self.p1)
-        mi, (P, r_minus_c) = _mc_link(T, link, None, self._work, weights=True)
-        term_u = _pair_pull(T, P, link.F, self.signals_h)
-        M = r_minus_c @ z
-        n_tx = S.shape[0]
-        term_z = np.sum(S.conj() * (M[:, :n_tx] + 1j * M[:, n_tx:]).T, axis=1)
-        scale = np.sqrt(self.p1) / (K * link.stacked.shape[1] * _LN2)
+        # rowsum(conj(S) * M^T) with M = sum_s (r_s - c_s) z_s (K x N_t).
+        # The diagonal (d = 0) is dropped before summing: it adds nothing,
+        # but at high SNR its weight is ~1 and would swamp the off-diagonal
+        # terms.
+        cache = self.cache
+        T = _noiseless_points(link.F, v, cache.signals, cache.p1)
+        mi, P, M = _mc_link(T, link, z, self._work)
+        term_u = _pair_pull(T, P, link.F, cache.signals_h)
+        n_tx = cache.n_tx
+        term_z = np.sum(cache.signals.conj() * (M[:, :n_tx] + 1j * M[:, n_tx:]).T, axis=1)
+        scale = np.sqrt(cache.p1) / (cache.n_signals * link.stacked.shape[1] * _LN2)
         return mi, scale * (term_u + term_z)
 
 
 def max_sr_gd(
-    channels: ChannelPair,
-    proj: ANProjector,
-    powers: PowerConfig,
-    codebook: SMCodebook,
+    cache: QuadFormCache,
     v0: np.ndarray,
     params: GDParams,
     n_samp: int,
@@ -481,11 +470,16 @@ def max_sr_gd(
 
     The same ascent loop as :func:`max_asr_gd`, but the objective is the
     sampled (unclamped) secrecy rate under ``n_samp`` noise realizations
-    drawn once from ``rng``, and the gradient is the matching
-    sample-average analytic gradient.
+    drawn once from ``rng`` on the cache's whitened channels, and the
+    gradient is the matching sample-average analytic gradient.  Each
+    evaluation takes the samples in the chunks of the reported rate
+    (``smsec.metrics._mc_link``), so its memory is bounded in ``n_samp``:
+    at K = 256 and 30 dB, where every chunk takes the direct kernel, a run
+    peaks at about 34 MiB (258 MiB with all samples at once), one chunk's
+    (K, K, 64) exponentials.
     """
-    objective = _SampledSecrecyObjective(channels, proj, powers, codebook, n_samp, rng)
-    return _ascend(objective.value_and_gradient, v0, codebook.n_tx, params)
+    objective = _SampledSecrecyObjective(cache, n_samp, rng)
+    return _ascend(objective.value_and_gradient, v0, cache.n_tx, params)
 
 
 # ---------------------------------------------------------------------------

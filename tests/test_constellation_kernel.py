@@ -22,6 +22,7 @@ from smsec.metrics import (
     _lifted_eval,
     _sampled_links,
     _sq_distances,
+    _whitened_channels,
     relaxed_asr,
 )
 from smsec.model import _noiseless_points
@@ -171,10 +172,10 @@ def test_factors_are_the_monte_carlo_whitened_channels(seed, n_tx, n_b, n_e):
     np.testing.assert_array_equal(cache.factor_b, wh_b @ channels.H)
     np.testing.assert_array_equal(cache.factor_e, wh_e @ channels.G)
     # the links the Monte-Carlo rate and SR-GD draw
-    bob, eve = _sampled_links(channels, proj, powers, 16, np.random.default_rng(0))
-    objective = _SampledSecrecyObjective(
-        channels, proj, powers, codebook, 16, np.random.default_rng(0)
+    bob, eve = _sampled_links(
+        *_whitened_channels(channels, proj, powers), 16, np.random.default_rng(0)
     )
+    objective = _SampledSecrecyObjective(cache, 16, np.random.default_rng(0))
     for link in (bob, objective.bob):
         np.testing.assert_array_equal(cache.factor("bob"), link.F)
     for link in (eve, objective.eve):

@@ -91,14 +91,12 @@ def test_gd_rejects_overpowered_start(instance):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
 @pytest.mark.parametrize("method", ["max_asr_gd", "max_sr_gd", "max_asr_sca"])
 def test_optimizers_reject_non_finite_start(instance, method, bad):
-    channels, proj, powers, codebook, cache = instance
+    *_, cache = instance
     v0 = np.ones(4, dtype=complex)
     v0[0] = bad
     run = {
         "max_asr_gd": lambda: max_asr_gd(cache, v0, GDParams()),
-        "max_sr_gd": lambda: max_sr_gd(
-            channels, proj, powers, codebook, v0, GDParams(), 16, np.random.default_rng(0)
-        ),
+        "max_sr_gd": lambda: max_sr_gd(cache, v0, GDParams(), 16, np.random.default_rng(0)),
         "max_asr_sca": lambda: S.max_asr_sca(cache, v0, S.SCAParams()),
     }[method]
     with pytest.raises(ValueError, match="finite"):
@@ -115,7 +113,7 @@ def counting(fn, calls):
 
 def test_evaluations_count_the_candidates(monkeypatch):
     # evaluations = value_and_grad calls minus the start point, accepted or not
-    channels, proj, powers, codebook, cache = make_instance(seed=2)
+    *_, cache = make_instance(seed=2)
     v0 = S.default_precoder(4)
     calls = []
     monkeypatch.setattr(
@@ -129,9 +127,7 @@ def test_evaluations_count_the_candidates(monkeypatch):
     runs = [
         lambda: max_asr_gd(cache, v0, GDParams()),
         lambda: max_asr_gd(cache, v0, GDParams(max_iters=2)),
-        lambda: max_sr_gd(
-            channels, proj, powers, codebook, v0, GDParams(), 64, np.random.default_rng(3)
-        ),
+        lambda: max_sr_gd(cache, v0, GDParams(), 64, np.random.default_rng(3)),
         lambda: _ascend(counting(lambda v: (0.0, np.zeros(4)), calls), v0, 4, GDParams()),
     ]
     for run in runs:
@@ -160,20 +156,16 @@ def test_gd_params_validation():
 
 
 def test_sr_gd_symmetric_instance(symmetric_instance):
-    channels, proj, powers, codebook, _ = symmetric_instance
+    *_, cache = symmetric_instance
     v0 = 0.5 * np.ones(4, dtype=complex)
-    trace = max_sr_gd(
-        channels, proj, powers, codebook, v0, GDParams(), 100, np.random.default_rng(0)
-    )
+    trace = max_sr_gd(cache, v0, GDParams(), 100, np.random.default_rng(0))
     assert all(x == 0.0 for x in trace.objective_history)
     np.testing.assert_allclose(trace.final_vector, np.ones(4), atol=1e-9)
 
 
 def test_sr_gd_gradient_matches_fixed_sample_objective(rng):
-    channels, proj, powers, codebook, _ = make_instance(seed=13)
-    objective = _SampledSecrecyObjective(
-        channels, proj, powers, codebook, 100, np.random.default_rng(9)
-    )
+    *_, cache = make_instance(seed=13)
+    objective = _SampledSecrecyObjective(cache, 100, np.random.default_rng(9))
     for _ in range(5):
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         _, g = objective.value_and_gradient(v)
@@ -184,22 +176,16 @@ def test_sr_gd_gradient_matches_fixed_sample_objective(rng):
 
 
 def test_sr_gd_history_monotone(rng):
-    channels, proj, powers, codebook, _ = make_instance(seed=17)
-    trace = max_sr_gd(
-        channels, proj, powers, codebook, S.default_precoder(4), GDParams(), 100,
-        np.random.default_rng(1),
-    )
+    *_, cache = make_instance(seed=17)
+    trace = max_sr_gd(cache, S.default_precoder(4), GDParams(), 100, np.random.default_rng(1))
     hist = trace.objective_history
     assert all(b >= a for a, b in zip(hist, hist[1:]))
 
 
 def test_sr_gd_deterministic_given_rng(rng):
-    channels, proj, powers, codebook, _ = make_instance(seed=19)
+    *_, cache = make_instance(seed=19)
     runs = [
-        max_sr_gd(
-            channels, proj, powers, codebook, S.default_precoder(4), GDParams(), 50,
-            np.random.default_rng(77),
-        )
+        max_sr_gd(cache, S.default_precoder(4), GDParams(), 50, np.random.default_rng(77))
         for _ in range(2)
     ]
     np.testing.assert_array_equal(runs[0].final_vector, runs[1].final_vector)

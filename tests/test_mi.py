@@ -16,6 +16,7 @@ from smsec.metrics import (
     QuadFormCache,
     _mc_link,
     _sampled_links,
+    _whitened_channels,
     secrecy_rate_mc_estimate,
 )
 from smsec.model import _noiseless_points
@@ -269,9 +270,10 @@ def test_secrecy_rate_estimate_value_and_paired_error(n_samp):
     assert est.n_samples == n_samp
 
     # the error is that of the paired per-sample differences (common noise)
-    links = tuple(_sampled_links(channels, proj, powers, n_samp, np.random.default_rng(4)))
+    F_b, F_e = _whitened_channels(channels, proj, powers)
+    links = _sampled_links(F_b, F_e, n_samp, np.random.default_rng(4))
     per_link = [
-        _mc_link(_noiseless_points(link.F, v, codebook.signal_matrix(), powers.p1), link)[0]
+        _mc_link(_noiseless_points(link.F, v, codebook.signal_matrix(), powers.p1), link)
         for link in links
     ]
     np.testing.assert_array_equal(links[0].noise, links[1].noise)  # N_b = N_e here
@@ -283,14 +285,14 @@ def test_secrecy_rate_estimate_value_and_paired_error(n_samp):
 @pytest.mark.parametrize("n_samp", [0, -3])
 def test_every_monte_carlo_entry_rejects_fewer_than_one_sample(n_samp):
     # The secrecy rate, one link's estimate and SR-GD draw their samples the same way.
-    channels, proj, powers, codebook, _ = make_instance(seed=9)
+    channels, proj, powers, codebook, cache = make_instance(seed=9)
     v = np.ones(4, dtype=complex)
     rng = np.random.default_rng(0)
     wh = whiten(powers.sigma2_b * np.eye(2))
     calls = [
         lambda: secrecy_rate_mc(channels, proj, powers, codebook, v, n_samp, rng),
         lambda: mi_monte_carlo(channels.H, wh, codebook, v, powers.p1, n_samp, rng),
-        lambda: S.max_sr_gd(channels, proj, powers, codebook, v, S.GDParams(), n_samp, rng),
+        lambda: S.max_sr_gd(cache, v, S.GDParams(), n_samp, rng),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="n_samp must be >= 1"):

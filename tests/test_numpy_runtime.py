@@ -95,12 +95,8 @@ def test_one_instance_per_benchmark_shape_imports_nothing():
 
 @pytest.mark.parametrize("n_tx,n_b,n_e", [(4, 2, 2), (4, 1, 3), (5, 2, 6), (16, 2, 2)])
 def test_cache_grams_are_the_hermitian_part_of_the_factor_grams(n_tx, n_b, n_e):
-    channels, proj, powers, codebook, cache = make_instance(
-        seed=n_tx + n_e, n_tx=n_tx, n_b=n_b, n_e=n_e
-    )
-    objective = _SampledSecrecyObjective(
-        channels, proj, powers, codebook, 8, np.random.default_rng(0)
-    )
+    *_, cache = make_instance(seed=n_tx + n_e, n_tx=n_tx, n_b=n_b, n_e=n_e)
+    objective = _SampledSecrecyObjective(cache, 8, np.random.default_rng(0))
     for side, link in (("bob", objective.bob), ("eve", objective.eve)):
         F = cache.factor(side)
         gram = F.conj().T @ F
@@ -157,10 +153,8 @@ def test_the_link_stack_is_derived_from_the_factors(n_b, n_e):
 
 def test_sr_gd_evaluation_allocates_no_sample_sized_array():
     n_samp = 2000
-    channels, proj, powers, codebook, _ = make_instance(seed=3)
-    objective = _SampledSecrecyObjective(
-        channels, proj, powers, codebook, n_samp, np.random.default_rng(1)
-    )
+    *_, codebook, cache = make_instance(seed=3)
+    objective = _SampledSecrecyObjective(cache, n_samp, np.random.default_rng(1))
     v = np.ones(4, dtype=complex)
     objective.value_and_gradient(v)
     tracemalloc.start()
@@ -184,57 +178,67 @@ def test_a_sampled_link_stores_its_samples_once():
     assert [f.name for f in dataclasses.fields(link)] == ["F", "stacked"]
 
 
-def allocating_mc_link(T, link, axis=0, work=None, weights=False):
-    """``_mc_link``'s factored kernel with a new array for each K x S result (``work`` is ignored).
+def allocating_mc_link(T, link, z=None, work=None):
+    """``_mc_link``'s factored chunks with a new array for each K x chunk result (``work`` is ignored).
 
-    Beyond the spread limit it returns ``_mc_link``'s direct result, which
-    writes only u to the workspace.
+    A chunk beyond the spread limit takes ``_mc_chunk``'s direct result
+    without a workspace.
     """
-    u = (2 * np.concatenate([T.real, T.imag])).T @ link.stacked
-    top = u.max(axis=0)
-    if np.max(top - u.min(axis=0)) > metrics._MC_SPREAD_LIMIT:
-        return metrics._mc_link(T, link, axis, None, weights)
-    u -= top
-    e = np.exp(u, out=u)
+    K, n_samp = T.shape[1], link.stacked.shape[1]
+    width = metrics._mc_chunk_width(K, n_samp)
+    points = (2 * np.concatenate([T.real, T.imag])).T
     X = np.exp(metrics._sq_distances(T, -1.0))
     np.fill_diagonal(X, 0.0)
-    Xe = X @ e
-    inner = Xe / e
-    inner += 1.0
-    mi = np.log2(T.shape[1]) - np.mean(np.log2(inner), axis=axis)
-    if not weights:
-        return mi, None
-    g = np.add(e, Xe)
-    np.reciprocal(g, out=g)
-    r_minus_c = e * (X @ g)
-    np.subtract(Xe * g, r_minus_c, out=r_minus_c)
-    return mi, (X * (g @ e.T), r_minus_c)
+    per_sample, total = [], 0.0
+    P, M = np.zeros((K, K)), None if z is None else np.zeros((K, z.shape[1]))
+    for start in range(0, n_samp, width):
+        chunk = slice(start, start + width)
+        u = points @ link.stacked[:, chunk]
+        top = u.max(axis=0)
+        if np.max(top - u.min(axis=0)) > metrics._MC_SPREAD_LIMIT:
+            weights = None if z is None else (z[chunk], P, M)
+            got = metrics._mc_chunk(T, points, X, link.stacked[:, chunk], None, weights)
+        else:
+            e = np.exp(u - top)
+            Xe = X @ e
+            inner = np.log2(Xe / e + 1.0)
+            if z is None:
+                got = np.log2(K) - np.mean(inner, axis=0)
+            else:
+                got = np.sum(inner)
+                g = 1.0 / (e + Xe)
+                P += X * (g @ e.T)
+                M += (Xe * g - e * (X @ g)) @ z[chunk]
+        if z is None:
+            per_sample.append(got)
+        else:
+            total += got
+    if z is None:
+        return np.concatenate(per_sample)
+    return np.log2(K) - total / (K * n_samp), P, M
 
 
 @pytest.mark.parametrize("n_samp", [500, 2000])
 @pytest.mark.parametrize("snr_db", [0, 15, 35])
 @pytest.mark.parametrize("n_tx,M", [(4, 2), (8, 4), (16, 4)])
 def test_workspace_equals_the_allocating_kernel(monkeypatch, n_tx, M, snr_db, n_samp):
-    channels, proj, powers, codebook, _ = make_instance(
-        seed=n_tx + M, n_tx=n_tx, M=M, sigma2=10 ** (-snr_db / 10)
-    )
-    objective = _SampledSecrecyObjective(
-        channels, proj, powers, codebook, n_samp, np.random.default_rng(snr_db)
-    )
+    # (8, 4) at 2000 samples and (16, 4) take several chunks, the last one
+    # narrower than the workspace; 35 dB reaches the direct kernel.
+    *_, cache = make_instance(seed=n_tx + M, n_tx=n_tx, M=M, sigma2=10 ** (-snr_db / 10))
+    objective = _SampledSecrecyObjective(cache, n_samp, np.random.default_rng(snr_db))
     rng = np.random.default_rng(n_tx * 100 + snr_db)
     v = rng.standard_normal(n_tx) + 1j * rng.standard_normal(n_tx)
 
-    for link in (objective.bob, objective.eve):
-        T = _noiseless_points(link.F, v, objective.signals, objective.p1)
-        for axis in (0, None):
-            for weights in (False, True):
-                want_mi, want_w = allocating_mc_link(T, link, axis, weights=weights)
-                work = np.empty((4, *T.shape[1:], n_samp))
-                got_mi, got_w = metrics._mc_link(T, link, axis, work, weights)
-                assert np.array_equal(got_mi, want_mi)
-                assert (got_w is None) == (want_w is None) == (not weights)
-                for a, b in zip(got_w or (), want_w or ()):
-                    assert np.array_equal(a, b)
+    for link, z in ((objective.bob, objective.z_bob), (objective.eve, objective.z_eve)):
+        T = _noiseless_points(link.F, v, cache.signals, cache.p1)
+        for weights in (None, z):
+            want = allocating_mc_link(T, link, weights)
+            got = metrics._mc_link(T, link, weights, objective._work)
+            if weights is None:
+                assert np.array_equal(got, want)
+            else:
+                assert got[0] == want[0]
+                assert all(np.array_equal(a, b) for a, b in zip(got[1:], want[1:]))
 
     value, grad = objective.value_and_gradient(v)
     monkeypatch.setattr(optim, "_mc_link", allocating_mc_link)

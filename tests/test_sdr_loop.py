@@ -179,10 +179,10 @@ def test_head_to_head_against_gradient_ascent():
 
 
 def test_traces_report_stop_reason_and_inner_steps(rng):
-    channels, proj, powers, codebook, cache = make_instance(seed=2)
+    *_, cache = make_instance(seed=2)
     v0 = S.default_precoder(4)
     gd = max_asr_gd(cache, v0, GDParams())
-    sr = max_sr_gd(channels, proj, powers, codebook, v0, GDParams(), 64, rng)
+    sr = max_sr_gd(cache, v0, GDParams(), 64, rng)
     for trace in (gd, sr):
         assert trace.stop_reason == "step_floor" and trace.converged
         assert trace.inner_steps == 0
