@@ -13,14 +13,19 @@ narrowed to 2 channels:
   pairwise quadratic-form kernel of ASR-GD dominates;
 * the same two studies of the wide shape with ``none, max-sr-gd``, where
   K = 64 and 500 samples make two sample chunks per Monte-Carlo link
-  evaluation, in SR-GD as in the reported rate.
+  evaluation, in SR-GD as in the reported rate;
+* the same two studies with ``none, max-sr-gd`` and one legitimate against
+  three eavesdropper antennas (``n_b = 1``, ``n_e = 3``), the one shape
+  where the two links draw separate sample arrays.
 
 The first three keys were written at commit c4b90ce, before the
 Monte-Carlo kernel was factored; the two ``*_wide`` keys at commit 78f95fa,
 before ASR-GD evaluated its value and gradient in one pass.  Both with
 Python 3.11.7, numpy 2.4.6 and scipy 1.17.1.  The two ``*_wide_sr_gd``
 keys were written at commit 2f75f62 (Python 3.11.7, numpy 2.4.6), before
-SR-GD took its samples in chunks.  The four ``max-asr-sca`` rows
+SR-GD took its samples in chunks.  The two ``*_uneven_sr_gd`` keys were
+written at commit 0cb2a22 (Python 3.11.7, numpy 2.4.6), before SR-GD folded
+its sample term into its pair term.  The four ``max-asr-sca`` rows
 of ``sr_vs_snr`` were re-frozen at commit e9c9f7d (Python 3.11.7, numpy
 2.4.6), when each link's Gram came to be taken from its whitened channel
 and the AN projector from a numpy solve: SCA's output is defined only to
@@ -54,6 +59,7 @@ def study_outputs() -> dict:
     )
     wide = replace(config, n_tx=16, M=4, methods=(Method.NONE, Method.MAX_ASR_GD))
     wide_sr_gd = replace(wide, methods=(Method.NONE, Method.MAX_SR_GD))
+    uneven_sr_gd = replace(config, n_b=1, n_e=3, methods=(Method.NONE, Method.MAX_SR_GD))
     return {
         "sr_vs_snr": run_sr_vs_snr(config),
         "sr_vs_snr_35db": run_sr_vs_snr(high_snr),
@@ -62,6 +68,8 @@ def study_outputs() -> dict:
         "iteration_pmf_wide": run_iteration_pmf(wide),
         "sr_vs_snr_wide_sr_gd": run_sr_vs_snr(wide_sr_gd),
         "iteration_pmf_wide_sr_gd": run_iteration_pmf(wide_sr_gd),
+        "sr_vs_snr_uneven_sr_gd": run_sr_vs_snr(uneven_sr_gd),
+        "iteration_pmf_uneven_sr_gd": run_iteration_pmf(uneven_sr_gd),
     }
 
 
@@ -71,7 +79,14 @@ def outputs():
 
 
 @pytest.mark.parametrize(
-    "study", ["sr_vs_snr", "sr_vs_snr_35db", "sr_vs_snr_wide", "sr_vs_snr_wide_sr_gd"]
+    "study",
+    [
+        "sr_vs_snr",
+        "sr_vs_snr_35db",
+        "sr_vs_snr_wide",
+        "sr_vs_snr_wide_sr_gd",
+        "sr_vs_snr_uneven_sr_gd",
+    ],
 )
 def test_sr_vs_snr_rows_match_golden(outputs, study):
     want = json.loads(GOLDEN.read_text())[study]
@@ -95,6 +110,11 @@ def test_wide_iteration_counts_match_golden(outputs):
 def test_wide_sr_gd_iteration_counts_match_golden(outputs):
     want = json.loads(GOLDEN.read_text())["iteration_pmf_wide_sr_gd"]
     assert outputs["iteration_pmf_wide_sr_gd"] == want
+
+
+def test_uneven_sr_gd_iteration_counts_match_golden(outputs):
+    want = json.loads(GOLDEN.read_text())["iteration_pmf_uneven_sr_gd"]
+    assert outputs["iteration_pmf_uneven_sr_gd"] == want
 
 
 if __name__ == "__main__":
