@@ -76,16 +76,17 @@ an exactly zero diagonal in ``_sq_distances``, so each row sum is at least
 
 The Monte-Carlo estimate rests on the same pairwise structure, and one
 chunked evaluator, :func:`_mc_link`, serves the secrecy rate,
-``mi_monte_carlo`` and SR-GD (``smsec.optim``).  A link is a
-:class:`_SampledLink`: its whitened channel F (from
+``mi_monte_carlo`` and SR-GD (``smsec.optim``).  A link's frozen noise is
+its S samples w_s ~ CN(0, I_N) as one real 2N x S array [Re W; Im W],
+W = [w_1 ... w_S] (:func:`_draw_samples`); the caller pairs it with the
+link's whitened channel F, which it already holds (from
 :func:`_whitened_channels`, which ``build_cache`` also uses, so SR-GD draws
-on the cache's factors) and S frozen noise samples w_s.
-:func:`_sampled_links` draws both links of an evaluation from one seed
-(common random numbers); when both links have as many receive antennas the
-two draws are equal, so the samples are drawn once and shared.  With
-T = sqrt(p1) F diag(v) S (N x K) the noise-free received points t_k and
-u = 2 Re(T^H W) (K x S) for the samples W = [w_1 ... w_S], the exponent of
-pair (a, b) under sample s is
+on the cache's factors).  :func:`_sampled_links` draws both links' samples
+from one seed (common random numbers); when both links have as many
+receive antennas the two draws are equal, so the samples are drawn once and
+shared.  With T = sqrt(p1) F diag(v) S (N x K) the noise-free received
+points t_k and u = 2 Re(T^H W) (K x S), the exponent of pair (a, b) under
+sample s is
 
     E_sab = ||w_s||^2 - ||t_a - t_b + w_s||^2 = u_sb - u_sa - ||t_a - t_b||^2,
 
@@ -103,9 +104,13 @@ exponentials instead of S K^2 (see Blanchard, Higham & Higham, "Accurately
 computing the log-sum-exp and softmax functions", IMA J. Numer. Anal.
 2021, for the shift).  The diagonal term is exactly 1 in floating point,
 so every row sum is at least 1 and its log2 is finite and nonnegative.
-For SR-GD the evaluator also sums the gradient's pair weights over the
-chunks, from the same factors, into a workspace of one chunk's four
-K x chunk arrays; no K x S array leaves it.
+For SR-GD the evaluator also sums the gradient's weights over the chunks,
+from the same factors, with each chunk's four K x chunk arrays in one
+workspace: the K x K pair weights P and, for the samples' own term, the
+real 2N x K array Y = [Re W; Im W] (r - c)^T, r and c the row and column
+sums of each sample's weights.  Y joins the pair term before its one
+contraction with F^H and S^H (``_pair_pull`` in ``smsec.optim``), so no
+K x S or S x N_t array leaves the evaluator.
 
 The factored form is exact only while each sample's spread
 max_b u_sb - min_b u_sb stays below ``_MC_SPREAD_LIMIT`` (500, fixed by
@@ -523,58 +528,44 @@ def asr(cache: QuadFormCache, v: np.ndarray, clamp: bool = False) -> float:
     return max(value, 0.0) if clamp else value
 
 
-@dataclass(frozen=True)
-class _SampledLink:
-    """One link of a Monte-Carlo evaluation: whitened channel and frozen noise.
+def _draw_samples(n_rx: int, n_samp: int, rng: np.random.Generator) -> np.ndarray:
+    """``n_samp`` samples w_s ~ CN(0, I_N) from ``rng`` as the real 2N x S array [Re W; Im W].
 
-    ``F`` is the whitened channel (N x N_t) and ``stacked`` holds the samples
-    w_s ~ CN(0, I_N) as the real 2N x S array [Re W; Im W], W = [w_1 ... w_S],
-    that :func:`_mc_link` takes; :attr:`noise` gives them as complex rows.
-    Only the real form is stored: the rate never reads the complex one, and
-    holding both would raise its peak memory.  The secrecy rate,
-    ``mi_monte_carlo`` and SR-GD all evaluate links drawn by :meth:`draw`.
+    The real parts of all samples are drawn first, then the imaginary parts,
+    each as an S x N block of standard normals, scaled by 1/sqrt(2).  Only
+    the real form is formed: every kernel reads it, and a complex copy would
+    raise the peak memory.
     """
-
-    F: np.ndarray
-    stacked: np.ndarray
-
-    @property
-    def noise(self) -> np.ndarray:
-        """The samples w_s as rows (S x N), copied from ``stacked`` bit for bit."""
-        re, im = np.split(self.stacked, 2)
-        noise = np.empty(re.T.shape, dtype=complex)
-        noise.real, noise.imag = re.T, im.T
-        return noise
-
-    @classmethod
-    def draw(cls, F: np.ndarray, rng: np.random.Generator, n_samp: int) -> "_SampledLink":
-        """``n_samp`` samples from ``rng``: the real parts of all, then the imaginary parts."""
-        if n_samp < 1:
-            raise ValueError("n_samp must be >= 1")
-        shape = (n_samp, F.shape[0])
-        noise = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-        return cls(F=F, stacked=np.concatenate([noise.real.T, noise.imag.T]))
+    if n_samp < 1:
+        raise ValueError("n_samp must be >= 1")
+    shape = (n_samp, n_rx)
+    samples = np.concatenate([rng.standard_normal(shape).T, rng.standard_normal(shape).T])
+    # A product with the reciprocal, not a division: numpy divides a complex
+    # number by a real one that way, so these are the parts of the complex
+    # draw (re + 1j im) / sqrt(2) of the same normals bit for bit.
+    samples *= 1.0 / np.sqrt(2.0)
+    return samples
 
 
 def _sampled_links(
     F_b: np.ndarray, F_e: np.ndarray, n_samp: int, rng: np.random.Generator
-) -> tuple[_SampledLink, _SampledLink]:
-    """The legitimate and eavesdropper links, in that order, drawn with common random numbers.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The legitimate and then the eavesdropper link's samples, with common random numbers.
 
     ``F_b`` and ``F_e`` are the links' whitened channels, as
-    :func:`_whitened_channels` gives them and the cache holds them.  One
-    seed from ``rng`` seeds both links' generators, so they draw the same
-    stream of normals, which cancels shared sampling noise in the
-    difference of their rates.  With as many receive antennas on both links
-    the two draws are equal bit for bit, so the samples are drawn once and
-    the eavesdropper's link holds the very ``stacked`` array of the
-    legitimate one; otherwise each link draws its own, from the same seed.
+    :func:`_whitened_channels` gives them and the cache holds them; only
+    their receive dimensions are read.  One seed from ``rng`` seeds both
+    links' generators, so they draw the same stream of normals, which
+    cancels shared sampling noise in the difference of their rates.  With
+    as many receive antennas on both links the two draws are equal bit for
+    bit, so the samples are drawn once and both links get the very same
+    array; otherwise each link draws its own, from the same seed.
     """
     seed = int(rng.integers(0, 2**63))
-    bob = _SampledLink.draw(F_b, np.random.default_rng(seed), n_samp)
+    bob = _draw_samples(F_b.shape[0], n_samp, np.random.default_rng(seed))
     if F_e.shape[0] == F_b.shape[0]:
-        return bob, _SampledLink(F=F_e, stacked=bob.stacked)
-    return bob, _SampledLink.draw(F_e, np.random.default_rng(seed), n_samp)
+        return bob, bob
+    return bob, _draw_samples(F_e.shape[0], n_samp, np.random.default_rng(seed))
 
 
 def _mc_exponentials(T: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -604,49 +595,52 @@ def _mc_chunk_width(K: int, n_samp: int) -> int:
 
 def _mc_link(
     T: np.ndarray,
-    link: _SampledLink,
-    z: np.ndarray | None = None,
+    samples: np.ndarray,
+    weights: bool = False,
     work: np.ndarray | None = None,
 ) -> np.ndarray | tuple[float, np.ndarray, np.ndarray]:
     """Sampled mutual information of one link at its received points, in sample chunks.
 
-    ``T`` = sqrt(p1) F diag(v) S holds the noise-free received points of
-    ``link`` as columns (N x K).  With inner_as = log2 sum_b exp(E_sab)
-    (K x S), the link's estimate is log2 K - mean(inner).  X = exp(-D),
-    D_ab = ||t_a - t_b||^2 (:func:`_sq_distances`), with its unit diagonal
-    zeroed, is formed once; the samples are then taken in chunks of
-    :func:`_mc_chunk_width` samples, each by :func:`_mc_chunk`, which picks
-    the factored or the direct kernel by the chunk's own spread.  Each
-    chunk's arrays are freed before the next chunk's are allocated, so the
-    working set does not grow with S.
+    ``T`` = sqrt(p1) F diag(v) S holds the noise-free received points of a
+    link as columns (N x K) and ``samples`` its frozen noise as the real
+    2N x S array of :func:`_draw_samples`.  With inner_as = log2 sum_b
+    exp(E_sab) (K x S), the link's estimate is log2 K - mean(inner).
+    X = exp(-D), D_ab = ||t_a - t_b||^2 (:func:`_sq_distances`), with its
+    unit diagonal zeroed, is formed once; the samples are then taken in
+    chunks of :func:`_mc_chunk_width` samples, each by :func:`_mc_chunk`,
+    which picks the factored or the direct kernel by the chunk's own spread.
+    Each chunk's arrays are freed before the next chunk's are allocated, so
+    the working set does not grow with S.
 
-    Without ``z`` returns the per-sample estimates (S,), log2 K minus the
-    mean of each sample's column of inner.  ``z`` is SR-GD's samples
-    z_s = F^H w_s as the real S x 2N_t array [Re z, Im z]; with it, returns
-    the link's estimate, log2 K minus the sum of all K S log terms divided by
-    K S, as if all samples were taken at once, and
-    SR-GD's pair weights summed over the chunks: P (K x K), the summed
-    off-diagonal softmax weights of E over the samples, and
-    M = sum_s (r_s - c_s) z_s (K x 2N_t), r and c the row and column sums
-    of each sample's weights.  ``work``, a float array of shape
-    (4, K, :func:`_mc_chunk_width`), holds each chunk's four K x chunk
-    arrays instead of new ones, with the same bits.  With one chunk
-    (K = 8 with S up to 2048) every result is that of the whole sample set
-    bit for bit; with several, BLAS may block the narrower products
-    differently, which moves a result by a few ulps.
+    Without ``weights`` returns the per-sample estimates (S,), log2 K minus
+    the mean of each sample's column of inner.  With ``weights`` (SR-GD)
+    returns the link's estimate, log2 K minus the sum of all K S log terms
+    divided by K S, as if all samples were taken at once, and the gradient's
+    pair weights summed over the chunks: P (K x K), the summed off-diagonal
+    softmax weights of E over the samples, and Y = sum_s w_s (r_s - c_s)^T
+    as the real 2N x K array [Re Y; Im Y], r and c the row and column sums
+    of each sample's weights.  The factored chunks sum only g e^T
+    (:func:`_mc_chunk`); X times that sum joins P once, after the last chunk.
+    ``work``, a float array of shape (4, K, :func:`_mc_chunk_width`), holds
+    each chunk's four K x chunk arrays instead of new ones, with the same
+    bits.  With one chunk (K = 8 with S up to 2048) every result is that of
+    the whole sample set bit for bit; with several, BLAS may block the
+    narrower products differently, which moves a result by a few ulps.
     """
-    K, n_samp = T.shape[1], link.stacked.shape[1]
+    K, n_samp = T.shape[1], samples.shape[1]
     width = _mc_chunk_width(K, n_samp)
     chunks = [slice(start, start + width) for start in range(0, n_samp, width)]
     points = (2 * np.concatenate([T.real, T.imag])).T
     X = _sq_distances(T, -1.0)
     np.exp(X, out=X)
     np.fill_diagonal(X, 0.0)
-    if z is None:
-        return np.concatenate([_mc_chunk(T, points, X, link.stacked[:, c], work) for c in chunks])
-    P, M = np.zeros((K, K)), np.zeros((K, z.shape[1]))
-    total = sum(_mc_chunk(T, points, X, link.stacked[:, c], work, (z[c], P, M)) for c in chunks)
-    return np.log2(K) - total / (K * n_samp), P, M
+    if not weights:
+        return np.concatenate([_mc_chunk(T, points, X, samples[:, c], work) for c in chunks])
+    P, G, Y = np.zeros((K, K)), np.zeros((K, K)), np.zeros((samples.shape[0], K))
+    total = sum(_mc_chunk(T, points, X, samples[:, c], work, (P, G, Y)) for c in chunks)
+    G *= X
+    P += G
+    return np.log2(K) - total / (K * n_samp), P, Y
 
 
 def _mc_chunk(
@@ -673,16 +667,19 @@ def _mc_chunk(
     two every log term is log2(K) bit for bit.
 
     Without ``weights`` returns the chunk's per-sample estimates (w,).
-    With ``weights`` = (z, P, M), z the chunk's rows of SR-GD's samples,
-    returns the sum of the chunk's log terms and adds its pair weights to P
-    and M in place.  From the factors, with g = 1 / (e + X e) the
-    off-diagonal weights are X_ab e_bs g_as, so their sum over samples is
-    X * (g e^T), their row sums are g * (X e) and, X being symmetric, their
-    column sums are e * (X g); the zero-diagonal X for the row sums avoids
-    forming 1 - (a weight near 1).  With ``work`` the factored kernel's four
-    K x w arrays (u and e, X e, inner then g, and r - c) are contiguous
-    views of its slots, so the log terms are summed before g reuses
-    inner's slot; the direct kernel writes u and r - c there.
+    With ``weights`` = (P, G, Y), SR-GD's accumulators, returns the sum of
+    the chunk's log terms and adds its pair weights in place.  From the
+    factors, with g = 1 / (e + X e) the off-diagonal weights are
+    X_ab e_bs g_as, so their sum over samples is X * (g e^T), of which the
+    chunk adds g e^T to G (:func:`_mc_link` multiplies by X once); their row
+    sums are g * (X e) and, X being symmetric, their column sums are
+    e * (X g); the zero-diagonal X for the row sums avoids forming
+    1 - (a weight near 1).  The direct kernel adds its summed weights to P
+    itself.  Either way the chunk adds W (r - c)^T to Y, one real 2N x w by
+    w x K product.  With ``work`` the factored kernel's four K x w arrays
+    (u and e, X e, inner then g, and r - c) are contiguous views of its
+    slots, so the log terms are summed before g reuses inner's slot; the
+    direct kernel writes u and r - c there.
     """
     K, width = X.shape[0], stacked.shape[1]
     slots = [None] * 4
@@ -704,7 +701,7 @@ def _mc_chunk(
         np.log2(inner, out=inner)
     if weights is None:
         return np.log2(K) - np.mean(inner, axis=0)
-    z, P, M = weights
+    P, G, Y = weights
     total = np.sum(inner)
     if direct:
         expo /= sums[:, None, :]  # the softmax weights, indexed [a, b, s]
@@ -718,8 +715,8 @@ def _mc_chunk(
         r_minus_c *= e
         Xe *= g
         np.subtract(Xe, r_minus_c, out=r_minus_c)
-        P += X * (g @ e.T)
-    M += r_minus_c @ z
+        G += g @ e.T
+    Y += stacked @ r_minus_c.T
     return total
 
 
@@ -747,12 +744,13 @@ def mi_monte_carlo(
     standard error is the per-sample standard deviation divided by
     sqrt(n_samp).  The value is floored at 0 (the estimator can dip below
     zero by sampling noise alone).  The samples come from ``rng`` itself
-    (:meth:`_SampledLink.draw`), and :func:`_mc_link` evaluates the link as
-    it does each link of the secrecy rate.
+    (:func:`_draw_samples`), and :func:`_mc_link` evaluates them on the
+    whitened channel ``whitening @ channel`` as it does each link of the
+    secrecy rate.
     """
-    link = _SampledLink.draw(whitening @ channel, rng, n_samp)
-    T = _noiseless_points(link.F, np.asarray(v, dtype=complex), codebook.signal_matrix(), p1)
-    per_sample = _mc_link(T, link)
+    F = whitening @ channel
+    T = _noiseless_points(F, np.asarray(v, dtype=complex), codebook.signal_matrix(), p1)
+    per_sample = _mc_link(T, _draw_samples(F.shape[0], n_samp, rng))
     value = float(np.mean(per_sample))
     return MIEstimate(value=max(value, 0.0), std_error=_std_error(per_sample), n_samples=n_samp)
 
@@ -777,8 +775,11 @@ def secrecy_rate_mc_estimate(
     """
     v = np.asarray(v, dtype=complex)
     S = codebook.signal_matrix()
-    links = _sampled_links(*_whitened_channels(channels, proj, powers), n_samp, rng)
-    per_b, per_e = (_mc_link(_noiseless_points(link.F, v, S, powers.p1), link) for link in links)
+    factors = _whitened_channels(channels, proj, powers)
+    samples = _sampled_links(*factors, n_samp, rng)
+    per_b, per_e = (
+        _mc_link(_noiseless_points(F, v, S, powers.p1), W) for F, W in zip(factors, samples)
+    )
     mi_b = max(float(np.mean(per_b)), 0.0)
     mi_e = max(float(np.mean(per_e)), 0.0)
     return MIEstimate(

@@ -12,9 +12,10 @@ Three methods under the power constraint tr(v v^H) <= N_t:
   the Monte-Carlo secrecy rate under frozen noise samples (common random
   numbers), so the objective and its sample-average gradient are
   deterministic within a run.  Like the other two it takes the
-  :class:`QuadFormCache`: its samples are drawn on the cache's whitened
-  channels, and ``_mc_link``, the chunked evaluator of the reported rate,
-  gives each link's value and gradient weights in one pass.
+  :class:`QuadFormCache`: each link's samples are one real array, paired
+  with the cache's whitened channel, and ``_mc_link``, the chunked
+  evaluator of the reported rate, gives each link's value and gradient
+  weights in one pass.
 * :func:`max_asr_sca`: lift to W = v v^H, drop the rank-one constraint,
   and maximize the resulting difference of convex log-sum-exp terms by
   successive convex approximation: linearize the convex (eavesdropper)
@@ -29,9 +30,10 @@ Three methods under the power constraint tr(v v^H) <= N_t:
 No kernel forms a pair matrix A_{kk'}.  Every rank-one quantity is taken
 from each link's received points T = sqrt(p1) F diag(v) S, whose pairwise
 distances one real K x K Gram of T gives (``_sq_distances`` in
-``smsec.metrics``): ASR-GD's value, the Monte-Carlo rate of SR-GD, the pair
-term of both gradients (:func:`_pair_pull`) and the rounding sweep, which
-scores each direction d at every power on the points of F diag(d) S.  Only
+``smsec.metrics``): ASR-GD's value, the Monte-Carlo rate of SR-GD, both
+gradients (:func:`_pair_pull`, to which SR-GD adds its samples' term before
+the one contraction) and the rounding sweep, which scores each direction d
+at every power on the points of F diag(d) S.  Only
 the true lifted W of SCA use ``_pair_traces`` (the pair values
 tr(W A_{kk'}) over one K x K Gram of the SM signal matrix S) and
 :func:`_weighted_pair_sum`, the softmax-weighted sums of the A_{kk'} that
@@ -54,7 +56,6 @@ import numpy as np
 from .errors import NumericalError
 from .metrics import (
     _EXP2_SCALE,
-    _SampledLink,
     _constellation_terms,
     _lifted_eval,
     _mc_chunk_width,
@@ -269,7 +270,9 @@ def _asr_value_and_gradient(
     return float(np.mean(inner[1] - inner[0])), grad
 
 
-def _pair_pull(T: np.ndarray, P: np.ndarray, F: np.ndarray, S_h: np.ndarray) -> np.ndarray:
+def _pair_pull(
+    T: np.ndarray, P: np.ndarray, F: np.ndarray, S_h: np.ndarray, Y: np.ndarray | None = None
+) -> np.ndarray:
     """sum_ab P_ab conj(s_a - s_b) * F^H (t_a - t_b) for K x K weights P, shape (N_t,).
 
     ``T`` holds a link's received points t_k (N x K), ``F`` is its whitened
@@ -282,17 +285,21 @@ def _pair_pull(T: np.ndarray, P: np.ndarray, F: np.ndarray, S_h: np.ndarray) -> 
     (:func:`_weighted_pair_sum`) applied to v, in O(K^2 N + K N N_t) instead
     of O(K^2 N_t + K N_t^2).  T L is formed on the real stacked points
     Z = [Re T; Im T] as Z (r + c) - Z P - Z P^T, so P is never cast to
-    complex.  The row sum is taken in the equal order
-    colsum(conj(F) * ((T L) S^H)), whose temporaries are N x N_t instead of
-    N_t x K.  ASR-GD and SR-GD take their pair terms from it.
+    complex.  ``Y``, a real 2N x K array of the same layout, is added to it
+    first, so rowsum(conj(S) * F^H (T L + Y)) costs one contraction: SR-GD
+    passes its samples' term there, ASR-GD passes none.  The row sum is
+    taken in the equal order colsum(conj(F) * ((T L + Y) S^H)), whose
+    temporaries are N x N_t instead of N_t x K.
     """
     ones = np.ones(P.shape[-1])
     Z = np.concatenate([T.real, T.imag], axis=-2)
     ZL = Z * (P @ ones + ones @ P)[..., None, :]
     ZL -= Z @ P
     ZL -= Z @ P.swapaxes(-1, -2)
+    if Y is not None:
+        ZL += Y
     N = T.shape[-2]
-    LS = ZL @ S_h  # [Re(T L); Im(T L)] S^H, 2N x N_t
+    LS = ZL @ S_h  # [Re(T L + Y); Im(T L + Y)] S^H, 2N x N_t
     return np.sum(F.conj() * (LS[..., :N, :] + 1j * LS[..., N:, :]), axis=-2)
 
 
@@ -399,13 +406,14 @@ class _SampledSecrecyObjective:
     """Monte-Carlo secrecy rate with frozen noise: deterministic in v.
 
     Freezes ``n_samp`` whitened-noise realizations per link, drawn by
-    ``smsec.metrics._sampled_links`` on the cache's whitened channels as for
-    the reported secrecy rate (identically seeded on both links, one shared
-    draw when they have as many receive antennas), so that repeated
+    ``smsec.metrics._sampled_links`` for the cache's whitened channels as
+    for the reported secrecy rate (identically seeded on both links, one
+    shared draw when they have as many receive antennas), so that repeated
     evaluations are a pure function of the precoder, making the ascent
     loop's accept/reject decisions and finite-difference checks well
-    defined.  S, S^H and p1 are read from ``cache``.  ``bob`` and ``eve`` are
-    the two links; :meth:`value_and_gradient` evaluates both with
+    defined.  ``bob`` and ``eve`` are the two links' samples, each the real
+    2N x S array [Re W; Im W]; F, S, S^H and p1 are read from ``cache``.
+    :meth:`value_and_gradient` evaluates both links with
     ``smsec.metrics._mc_link``, in the sample chunks the reported rate
     takes, and the evaluator also sums the gradient's pair weights over the
     chunks.  Each chunk's four K x chunk arrays live in one
@@ -417,46 +425,35 @@ class _SampledSecrecyObjective:
     def __init__(self, cache: QuadFormCache, n_samp: int, rng: np.random.Generator):
         self.cache = cache
         self.bob, self.eve = _sampled_links(cache.factor_b, cache.factor_e, n_samp, rng)
-        # z_s = F^H w_s of each link as the real S x 2N_t array [Re z, Im z],
-        # so the gradient contracts it with one real matrix product.
-        self.z_bob, self.z_eve = (
-            np.hstack([z.real, z.imag])
-            for z in (link.noise @ link.F.conj() for link in (self.bob, self.eve))
-        )
         K = cache.n_signals
         self._work = np.empty((4, K, _mc_chunk_width(K, n_samp)))
 
     def value_and_gradient(self, v: np.ndarray) -> tuple[float, np.ndarray]:
         """Sampled secrecy rate I(bob) - I(eve) at v and its conjugate gradient."""
         v = np.asarray(v, dtype=complex)
-        mi_b, g_b = self._link(self.bob, self.z_bob, v)
-        mi_e, g_e = self._link(self.eve, self.z_eve, v)
+        mi_b, g_b = self._link(self.cache.factor_b, self.bob, v)
+        mi_e, g_e = self._link(self.cache.factor_e, self.eve, v)
         return float(mi_b - mi_e), g_b - g_e
 
-    def _link(
-        self, link: _SampledLink, z: np.ndarray, v: np.ndarray
-    ) -> tuple[float, np.ndarray]:
+    def _link(self, F: np.ndarray, samples: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray]:
         # Sampled MI of one link and its d/d(conj v).  With d = s_a - s_b the
         # exponent E_sab = -||alpha||^2 - 2 Re(alpha^H w_s) of
         # alpha = sqrt(p1) F diag(d) v has
-        # dE/d(conj v) = -sqrt(p1) conj(d) * (F^H alpha + z_s) elementwise.
+        # dE/d(conj v) = -sqrt(p1) conj(d) * F^H (alpha + w_s) elementwise.
         # Weighting by the softmax w of E and summing over the pairs, the
-        # F^H alpha part is sum_ab P_ab conj(d) * F^H (t_a - t_b) with
+        # alpha part is sum_ab P_ab conj(d) * F^H (t_a - t_b) with
         # P = sum_s w, as alpha = t_a - t_b: the _pair_pull of the received
-        # points T.  The z_s part is sum_s z_s * (conj(S) (r_s - c_s))
-        # with r, c the row and column sums of w, taken as
-        # rowsum(conj(S) * M^T) with M = sum_s (r_s - c_s) z_s (K x N_t).
-        # The diagonal (d = 0) is dropped before summing: it adds nothing,
-        # but at high SNR its weight is ~1 and would swamp the off-diagonal
-        # terms.
+        # points T.  The w_s part is sum_s sum_ab w_sab conj(d) * F^H w_s
+        # = sum_k conj(s_k) * F^H Y_k with Y = W (r - c)^T (N x K), r and c
+        # the row and column sums of each sample's w, so it joins the pair
+        # term's T L before the one F^H / S^H contraction.  The diagonal
+        # (d = 0) is dropped before summing: it adds nothing, but at high
+        # SNR its weight is ~1 and would swamp the off-diagonal terms.
         cache = self.cache
-        T = _noiseless_points(link.F, v, cache.signals, cache.p1)
-        mi, P, M = _mc_link(T, link, z, self._work)
-        term_u = _pair_pull(T, P, link.F, cache.signals_h)
-        n_tx = cache.n_tx
-        term_z = np.sum(cache.signals.conj() * (M[:, :n_tx] + 1j * M[:, n_tx:]).T, axis=1)
-        scale = np.sqrt(cache.p1) / (cache.n_signals * link.stacked.shape[1] * _LN2)
-        return mi, scale * (term_u + term_z)
+        T = _noiseless_points(F, v, cache.signals, cache.p1)
+        mi, P, Y = _mc_link(T, samples, True, self._work)
+        scale = np.sqrt(cache.p1) / (cache.n_signals * samples.shape[1] * _LN2)
+        return mi, scale * _pair_pull(T, P, F, cache.signals_h, Y)
 
 
 def max_sr_gd(

@@ -171,14 +171,14 @@ def test_factors_are_the_monte_carlo_whitened_channels(seed, n_tx, n_b, n_e):
     wh_e = whiten(noise_covariance(channels.G, proj, powers.p2, powers.sigma2_e))
     np.testing.assert_array_equal(cache.factor_b, wh_b @ channels.H)
     np.testing.assert_array_equal(cache.factor_e, wh_e @ channels.G)
-    # the links the Monte-Carlo rate and SR-GD draw
-    bob, eve = _sampled_links(
-        *_whitened_channels(channels, proj, powers), 16, np.random.default_rng(0)
-    )
+    # the channels the Monte-Carlo rate pairs its samples with (SR-GD reads
+    # the cache's), and the samples both draw on them from one seed
+    factors = _whitened_channels(channels, proj, powers)
+    np.testing.assert_array_equal(cache.factor("bob"), factors[0])
+    np.testing.assert_array_equal(cache.factor("eve"), factors[1])
+    bob, eve = _sampled_links(*factors, 16, np.random.default_rng(0))
     objective = _SampledSecrecyObjective(cache, 16, np.random.default_rng(0))
-    for link in (bob, objective.bob):
-        np.testing.assert_array_equal(cache.factor("bob"), link.F)
-    for link in (eve, objective.eve):
-        np.testing.assert_array_equal(cache.factor("eve"), link.F)
+    np.testing.assert_array_equal(objective.bob, bob)
+    np.testing.assert_array_equal(objective.eve, eve)
     with pytest.raises(ValueError, match="side"):
         cache.factor("carol")

@@ -10,7 +10,9 @@ direct one (all S K^2 exponentials from one broadcast of u = 2 Re(T^H W)
 and the K x K Gram of T).  Both links draw their samples once when they
 have as many receive antennas, and ``_mc_link`` takes the samples in chunks
 of bounded memory, for the rate and SR-GD alike: each chunk picks its own
-kernel, and the pairwise exponentials are formed once per call.
+kernel, and the pairwise exponentials are formed once per call.  A link's
+samples are one real 2N x S array [Re W; Im W], which every caller pairs
+with the whitened channel F it already holds.
 """
 
 import math
@@ -22,7 +24,7 @@ from scipy.special import softmax
 
 from smsec import metrics, optim, secrecy_rate_mc
 from smsec.metrics import (
-    _SampledLink,
+    _draw_samples,
     _mc_exponentials,
     _mc_link,
     _sampled_links,
@@ -61,6 +63,12 @@ def ref_mc_per_sample(F, signals, v, p1, noise):
     expo = -(norm2[None, :, :] + cross) / LN2  # (S, K, K), base-2 units
     inner = ref_log2sumexp2(expo, axis=2)  # (S, K)
     return np.log2(K) - np.mean(inner, axis=1)
+
+
+def complex_rows(samples):
+    """The samples w_s of a real 2N x S sample array as complex rows (S x N)."""
+    re, im = np.split(samples, 2)
+    return re.T + 1j * im.T
 
 
 def ref_side_gradient(F, z, noise, v, signals, p1):
@@ -109,14 +117,19 @@ def kernel_instance(n_tx, M, snr_db, n_b, n_e, n_samp=N_SAMP):
     return objective, v
 
 
+def sampled_links(objective):
+    """Each link of the objective as its whitened channel and its sample array."""
+    return ((objective.cache.factor_b, objective.bob), (objective.cache.factor_e, objective.eve))
+
+
 @pytest.mark.parametrize("n_tx,M,snr_db,n_b,n_e", kernel_cases())
 def test_mc_kernel_matches_einsum_reference(n_tx, M, snr_db, n_b, n_e):
     objective, v = kernel_instance(n_tx, M, snr_db, n_b, n_e)
     signals, p1 = objective.cache.signals, objective.cache.p1
 
     values, grads = [], []
-    for link, z_stacked in ((objective.bob, objective.z_bob), (objective.eve, objective.z_eve)):
-        F, noise = link.F, link.noise
+    for F, samples in sampled_links(objective):
+        noise = complex_rows(samples)
         z = noise @ F.conj()  # z_s = F^H w_s
         T = _noiseless_points(F, v, signals, p1)
         u = 2 * np.real(T.conj().T @ noise.T)  # from the complex samples
@@ -124,12 +137,12 @@ def test_mc_kernel_matches_einsum_reference(n_tx, M, snr_db, n_b, n_e):
         assert expo.shape == (T.shape[1], T.shape[1], N_SAMP)
         assert np.all(expo.sum(axis=1) >= 1.0)
 
-        per_sample = _mc_link(T, link)
+        per_sample = _mc_link(T, samples)
         want = ref_mc_per_sample(F, signals, v, p1, noise)
         assert np.all(np.isfinite(per_sample))
         assert np.max(np.abs(per_sample - want)) <= 1e-12
 
-        mi, grad = objective._link(link, z_stacked, v)
+        mi, grad = objective._link(F, samples, v)
         want_grad = ref_side_gradient(F, z, noise, v, signals, p1)
         assert np.all(np.isfinite(grad))
         assert abs(mi - np.mean(want)) <= 1e-12
@@ -142,20 +155,117 @@ def test_mc_kernel_matches_einsum_reference(n_tx, M, snr_db, n_b, n_e):
     assert rel_err(grad, grads[0] - grads[1]) <= 1e-10
 
 
+def two_term_link(cache, F, samples, v):
+    """One link's sampled MI and gradient as two terms, each with its own contraction.
+
+    The pair term is ``_pair_pull`` of the summed pair weights P; the sample
+    term contracts M = sum_s (r_s - c_s) z_s (K x N_t) with conj(S), from
+    the samples' own copies z_s = F^H w_s.  The chunks, kernels and value are
+    ``_mc_link``'s, so the value is equal bit for bit.
+    """
+    K, n_samp = cache.n_signals, samples.shape[1]
+    noise = complex_rows(samples)
+    z = noise @ F.conj()
+    z = np.hstack([z.real, z.imag])  # [Re z, Im z], S x 2N_t
+    T = _noiseless_points(F, v, cache.signals, cache.p1)
+    points = (2 * np.concatenate([T.real, T.imag])).T
+    X = np.exp(metrics._sq_distances(T, -1.0))
+    np.fill_diagonal(X, 0.0)
+    P, M, total = np.zeros((K, K)), np.zeros((K, z.shape[1])), 0.0
+    width = metrics._mc_chunk_width(K, n_samp)
+    for start in range(0, n_samp, width):
+        chunk = slice(start, start + width)
+        u = points @ samples[:, chunk]
+        top = u.max(axis=0)
+        if np.max(top - u.min(axis=0)) > metrics._MC_SPREAD_LIMIT:
+            expo = _mc_exponentials(T, u)
+            sums = expo.sum(axis=1)
+            total += np.sum(np.log2(sums))
+            expo /= sums[:, None, :]
+            expo[np.arange(K), np.arange(K)] = 0.0
+            P += expo.sum(axis=2)
+            r_minus_c = expo.sum(axis=1) - expo.sum(axis=0)
+        else:
+            e = np.exp(u - top)
+            Xe = X @ e
+            total += np.sum(np.log2(Xe / e + 1.0))
+            g = 1.0 / (e + Xe)
+            P += X * (g @ e.T)
+            r_minus_c = Xe * g - e * (X @ g)
+        M += r_minus_c @ z[chunk]
+    term_u = optim._pair_pull(T, P, F, cache.signals_h)
+    n_tx = cache.n_tx
+    term_z = np.sum(cache.signals.conj() * (M[:, :n_tx] + 1j * M[:, n_tx:]).T, axis=1)
+    scale = np.sqrt(cache.p1) / (K * n_samp * LN2)
+    return np.log2(K) - total / (K * n_samp), scale * (term_u + term_z)
+
+
+def one_pull_cases():
+    # One chunk (K = 8), several ((16, 4) at 1200 samples: five chunks) and
+    # direct-kernel chunks (35 and 40 dB), on every (N_b, N_e) kind.
+    for n_tx, M, n_samp, snr_db in [
+        (4, 2, 500, 0),
+        (4, 2, 2000, 10),
+        (4, 2, 500, 35),
+        (8, 4, 500, 40),
+        (16, 4, 1200, 10),
+        (16, 4, 1200, 35),
+        (16, 4, 1200, 40),
+    ]:
+        for n_b, n_e in [(2, 2), (1, 3), (3, 1)]:
+            case = f"{n_tx}x{M}-S{n_samp}-{snr_db}dB-{n_b}x{n_e}"
+            yield pytest.param(n_tx, M, n_samp, snr_db, n_b, n_e, id=case)
+
+
+@pytest.mark.parametrize("n_tx,M,n_samp,snr_db,n_b,n_e", one_pull_cases())
+def test_one_pull_matches_the_two_term_gradient(monkeypatch, n_tx, M, n_samp, snr_db, n_b, n_e):
+    # SR-GD adds its samples' term W (r - c)^T to the pair term before the
+    # one contraction; the value is untouched and the gradient moves only
+    # by the order of the sums.
+    objective, v = kernel_instance(n_tx, M, snr_db, n_b, n_e, n_samp)
+    calls = count_direct_calls(monkeypatch)
+    value, grad = objective.value_and_gradient(v)
+    assert (len(calls) > 0) == (snr_db >= 35)
+    (mi_b, g_b), (mi_e, g_e) = (
+        two_term_link(objective.cache, F, samples, v) for F, samples in sampled_links(objective)
+    )
+    assert value == float(mi_b - mi_e)
+    assert rel_err(grad, g_b - g_e) <= 1e-13
+
+
+@pytest.mark.parametrize("n_tx,M,n_samp,limit", [(4, 2, 2000, 720 * 2**10), (16, 4, 4000, 2**20)])
+def test_sr_gd_objective_holds_no_sample_copies(n_tx, M, n_samp, limit):
+    """Building the objective and one evaluation at 10 dB: no S x 2N_t copies z_s = F^H w_s.
+
+    Such copies were 250 KiB of a 900 KiB peak at (4, 2) with 2000 samples
+    and 2 MiB of 3.25 MiB at (16, 4) with 4000.
+    """
+    *_, cache = make_instance(seed=3, n_tx=n_tx, M=M, sigma2=0.1)
+    v = np.ones(n_tx, dtype=complex)
+    tracemalloc.start()
+    try:
+        objective = _SampledSecrecyObjective(cache, n_samp, np.random.default_rng(1))
+        objective.value_and_gradient(v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < limit
+
+
 @pytest.mark.parametrize("n_tx,M,snr_db,n_b,n_e", kernel_cases())
 def test_factored_and_direct_branches_agree(monkeypatch, n_tx, M, snr_db, n_b, n_e):
     objective, v = kernel_instance(n_tx, M, snr_db, n_b, n_e)
-    links = (objective.bob, objective.eve)
+    links = sampled_links(objective)
     cache = objective.cache
-    points = [_noiseless_points(link.F, v, cache.signals, cache.p1) for link in links]
-    per_sample = [_mc_link(T, link) for T, link in zip(points, links)]
+    points = [_noiseless_points(F, v, cache.signals, cache.p1) for F, _ in links]
+    per_sample = [_mc_link(T, samples) for T, (_, samples) in zip(points, links)]
     value, grad = objective.value_and_gradient(v)
 
     # No spread is below -1: every call now takes the direct kernel.
     monkeypatch.setattr(metrics, "_MC_SPREAD_LIMIT", -1.0)
     calls = count_direct_calls(monkeypatch)
-    for T, link, got in zip(points, links, per_sample):
-        assert np.max(np.abs(got - _mc_link(T, link))) <= 1e-12
+    for T, (_, samples), got in zip(points, links, per_sample):
+        assert np.max(np.abs(got - _mc_link(T, samples))) <= 1e-12
     want_value, want_grad = objective.value_and_gradient(v)
     assert len(calls) == 4
     assert abs(value - want_value) <= 1e-10 * max(abs(want_value), 1e-300)
@@ -177,9 +287,9 @@ def test_sr_gd_over_chunks_mixes_the_branches(monkeypatch, n_tx, M, snr_db, n_b,
 
     cache = objective.cache
     spreads = []
-    for link in (objective.bob, objective.eve):
-        T = _noiseless_points(link.F, v, cache.signals, cache.p1)
-        u = (2 * np.concatenate([T.real, T.imag])).T @ link.stacked
+    for F, samples in sampled_links(objective):
+        T = _noiseless_points(F, v, cache.signals, cache.p1)
+        u = (2 * np.concatenate([T.real, T.imag])).T @ samples
         spread = u.max(axis=0) - u.min(axis=0)
         spreads += [spread[start : start + 10].max() for start in range(0, N_SAMP, 10)]
     levels = np.unique(spreads)
@@ -215,10 +325,9 @@ def test_spread_selects_the_branch(monkeypatch, snr_db, factored):
     channels, proj, powers, codebook, cache = make_instance(seed=3, sigma2=10 ** (-snr_db / 10))
     v = np.ones(4, dtype=complex)
     objective = _SampledSecrecyObjective(cache, N_SAMP, np.random.default_rng(5))
-    bob = objective.bob
-    T = _noiseless_points(bob.F, v, cache.signals, cache.p1)
+    T = _noiseless_points(cache.factor_b, v, cache.signals, cache.p1)
     calls = count_direct_calls(monkeypatch)
-    _mc_link(T, bob)
+    _mc_link(T, objective.bob)
     assert (len(calls) == 0) == factored
 
     secrecy_rate_mc(channels, proj, powers, codebook, v, N_SAMP, np.random.default_rng(1))
@@ -241,10 +350,10 @@ def test_secrecy_rate_and_sr_gd_share_one_estimator(monkeypatch, snr_db, factore
     value, _ = objective.value_and_gradient(v)
     assert (len(calls) == 0) == factored
 
-    F_b, F_e = _whitened_channels(channels, proj, powers)
-    links = _sampled_links(F_b, F_e, N_SAMP, np.random.default_rng(7))
-    points = [_noiseless_points(link.F, v, cache.signals, powers.p1) for link in links]
-    mi_b, mi_e = (float(np.mean(_mc_link(T, link))) for T, link in zip(points, links))
+    factors = _whitened_channels(channels, proj, powers)
+    links = _sampled_links(*factors, N_SAMP, np.random.default_rng(7))
+    points = [_noiseless_points(F, v, cache.signals, powers.p1) for F in factors]
+    mi_b, mi_e = (float(np.mean(_mc_link(T, W))) for T, W in zip(points, links))
     assert mi_b > mi_e > 0
     assert est.value == mi_b - mi_e
     assert est.value == pytest.approx(value, rel=1e-12, abs=0.0)
@@ -315,11 +424,10 @@ def test_links_draw_their_samples_once(n_b, n_e):
     factors = _whitened_channels(channels, proj, powers)
     bob, eve = _sampled_links(*factors, 30, np.random.default_rng(3))
     seed = int(np.random.default_rng(3).integers(0, 2**63))
-    for link, F in zip((bob, eve), factors):
-        assert np.array_equal(link.F, F)
-        want = _SampledLink.draw(F, np.random.default_rng(seed), 30)
-        assert np.array_equal(link.stacked, want.stacked)
-    assert (eve.stacked is bob.stacked) == (n_b == n_e)
+    for samples, F in zip((bob, eve), factors):
+        assert samples.shape == (2 * F.shape[0], 30)
+        assert np.array_equal(samples, _draw_samples(F.shape[0], 30, np.random.default_rng(seed)))
+    assert (eve is bob) == (n_b == n_e)
 
 
 def count_chunk_widths(monkeypatch):
@@ -345,15 +453,15 @@ def test_chunked_estimates_match_one_kernel_call(monkeypatch, n_tx, M, n_samp, c
     channels, proj, powers, codebook, _ = make_instance(seed=4, n_tx=n_tx, M=M, sigma2=1.0)
     K = codebook.n_signals
     v = np.ones(n_tx, dtype=complex)
-    F_b, F_e = _whitened_channels(channels, proj, powers)
-    for link in _sampled_links(F_b, F_e, n_samp, np.random.default_rng(2)):
-        T = _noiseless_points(link.F, v, codebook.signal_matrix(), powers.p1)
+    factors = _whitened_channels(channels, proj, powers)
+    for F, samples in zip(factors, _sampled_links(*factors, n_samp, np.random.default_rng(2))):
+        T = _noiseless_points(F, v, codebook.signal_matrix(), powers.p1)
         widths = count_chunk_widths(monkeypatch)
-        got = _mc_link(T, link)
+        got = _mc_link(T, samples)
         assert len(widths) == chunks and sum(widths) == n_samp
         assert max(widths) * K * 8 <= metrics._MC_CHUNK_BYTES
         monkeypatch.setattr(metrics, "_MC_CHUNK_BYTES", K * n_samp * 8)
-        want = _mc_link(T, link)
+        want = _mc_link(T, samples)
         monkeypatch.undo()
         assert len(widths) == chunks + 1
         if chunks == 1:

@@ -270,13 +270,13 @@ def test_secrecy_rate_estimate_value_and_paired_error(n_samp):
     assert est.n_samples == n_samp
 
     # the error is that of the paired per-sample differences (common noise)
-    F_b, F_e = _whitened_channels(channels, proj, powers)
-    links = _sampled_links(F_b, F_e, n_samp, np.random.default_rng(4))
+    factors = _whitened_channels(channels, proj, powers)
+    links = _sampled_links(*factors, n_samp, np.random.default_rng(4))
     per_link = [
-        _mc_link(_noiseless_points(link.F, v, codebook.signal_matrix(), powers.p1), link)
-        for link in links
+        _mc_link(_noiseless_points(F, v, codebook.signal_matrix(), powers.p1), samples)
+        for F, samples in zip(factors, links)
     ]
-    np.testing.assert_array_equal(links[0].noise, links[1].noise)  # N_b = N_e here
+    np.testing.assert_array_equal(links[0], links[1])  # N_b = N_e here
     diff = per_link[0] - per_link[1]
     want = np.std(diff, ddof=1) / np.sqrt(n_samp) if n_samp > 1 else 0.0
     assert est.std_error == pytest.approx(want, rel=1e-12, abs=0.0)

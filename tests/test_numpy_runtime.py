@@ -5,7 +5,7 @@
   scipy blocked and imports no further module once smsec is loaded.
 * :class:`~smsec.metrics.QuadFormCache` derives each link's Gram (the
   Hermitian part of F^H F) and its rank bound min(N, N_t) from the whitened
-  channel F, and SR-GD's frozen links take the same Gram.  It also derives
+  channel F, and SR-GD's frozen samples match each link's receive dimension.  It also derives
   the stack of both links' F that ``asr`` and ASR-GD take in one pass, the
   shorter link padded by zero rows.
 * SR-GD's factored kernel writes its K x S arrays into one workspace owned
@@ -97,11 +97,11 @@ def test_one_instance_per_benchmark_shape_imports_nothing():
 def test_cache_grams_are_the_hermitian_part_of_the_factor_grams(n_tx, n_b, n_e):
     *_, cache = make_instance(seed=n_tx + n_e, n_tx=n_tx, n_b=n_b, n_e=n_e)
     objective = _SampledSecrecyObjective(cache, 8, np.random.default_rng(0))
-    for side, link in (("bob", objective.bob), ("eve", objective.eve)):
+    for side, samples in (("bob", objective.bob), ("eve", objective.eve)):
         F = cache.factor(side)
         gram = F.conj().T @ F
         assert np.array_equal(cache.gram(side), (gram + gram.conj().T) / 2)
-        assert np.array_equal(link.F, F)
+        assert samples.shape == (2 * F.shape[0], 8)
         assert cache.noise_dim(side) == min(F.shape)
 
 
@@ -167,55 +167,56 @@ def test_sr_gd_evaluation_allocates_no_sample_sized_array():
 
 
 def test_a_sampled_link_stores_its_samples_once():
-    # The complex rows are rebuilt from the real stacked array, bit for bit
-    # and in the layout they were drawn in.
-    F = np.ones((3, 4), dtype=complex)
-    link = metrics._SampledLink.draw(F, np.random.default_rng(8), 50)
-    rng = np.random.default_rng(8)
-    want = (rng.standard_normal((50, 3)) + 1j * rng.standard_normal((50, 3))) / np.sqrt(2.0)
-    assert np.array_equal(link.noise, want) and link.noise.flags.c_contiguous
-    assert np.array_equal(link.stacked, np.concatenate([want.real.T, want.imag.T]))
-    assert [f.name for f in dataclasses.fields(link)] == ["F", "stacked"]
+    # A link's samples are one real array [Re W; Im W]: the complex samples
+    # as drawn (real parts of all, then imaginary parts) are split into it
+    # bit for bit, and no complex copy is kept.
+    for n_rx, n_samp, seed in [(3, 50, 8), (1, 777, 3), (2, 2000, 1), (6, 5000, 4)]:
+        samples = metrics._draw_samples(n_rx, n_samp, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        shape = (n_samp, n_rx)
+        want = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+        assert samples.dtype == np.float64 and samples.shape == (2 * n_rx, n_samp)
+        assert np.array_equal(samples, np.concatenate([want.real.T, want.imag.T]))
 
 
-def allocating_mc_link(T, link, z=None, work=None):
+def allocating_mc_link(T, samples, weights=False, work=None):
     """``_mc_link``'s factored chunks with a new array for each K x chunk result (``work`` is ignored).
 
     A chunk beyond the spread limit takes ``_mc_chunk``'s direct result
     without a workspace.
     """
-    K, n_samp = T.shape[1], link.stacked.shape[1]
+    K, n_samp = T.shape[1], samples.shape[1]
     width = metrics._mc_chunk_width(K, n_samp)
     points = (2 * np.concatenate([T.real, T.imag])).T
     X = np.exp(metrics._sq_distances(T, -1.0))
     np.fill_diagonal(X, 0.0)
     per_sample, total = [], 0.0
-    P, M = np.zeros((K, K)), None if z is None else np.zeros((K, z.shape[1]))
+    P, G, Y = np.zeros((K, K)), np.zeros((K, K)), np.zeros((samples.shape[0], K))
     for start in range(0, n_samp, width):
-        chunk = slice(start, start + width)
-        u = points @ link.stacked[:, chunk]
+        chunk = samples[:, start : start + width]
+        u = points @ chunk
         top = u.max(axis=0)
         if np.max(top - u.min(axis=0)) > metrics._MC_SPREAD_LIMIT:
-            weights = None if z is None else (z[chunk], P, M)
-            got = metrics._mc_chunk(T, points, X, link.stacked[:, chunk], None, weights)
+            accumulators = (P, G, Y) if weights else None
+            got = metrics._mc_chunk(T, points, X, chunk, None, accumulators)
         else:
             e = np.exp(u - top)
             Xe = X @ e
             inner = np.log2(Xe / e + 1.0)
-            if z is None:
+            if not weights:
                 got = np.log2(K) - np.mean(inner, axis=0)
             else:
                 got = np.sum(inner)
                 g = 1.0 / (e + Xe)
-                P += X * (g @ e.T)
-                M += (Xe * g - e * (X @ g)) @ z[chunk]
-        if z is None:
-            per_sample.append(got)
-        else:
+                G += g @ e.T
+                Y += chunk @ (Xe * g - e * (X @ g)).T
+        if weights:
             total += got
-    if z is None:
+        else:
+            per_sample.append(got)
+    if not weights:
         return np.concatenate(per_sample)
-    return np.log2(K) - total / (K * n_samp), P, M
+    return np.log2(K) - total / (K * n_samp), P + X * G, Y
 
 
 @pytest.mark.parametrize("n_samp", [500, 2000])
@@ -229,12 +230,12 @@ def test_workspace_equals_the_allocating_kernel(monkeypatch, n_tx, M, snr_db, n_
     rng = np.random.default_rng(n_tx * 100 + snr_db)
     v = rng.standard_normal(n_tx) + 1j * rng.standard_normal(n_tx)
 
-    for link, z in ((objective.bob, objective.z_bob), (objective.eve, objective.z_eve)):
-        T = _noiseless_points(link.F, v, cache.signals, cache.p1)
-        for weights in (None, z):
-            want = allocating_mc_link(T, link, weights)
-            got = metrics._mc_link(T, link, weights, objective._work)
-            if weights is None:
+    for F, samples in ((cache.factor_b, objective.bob), (cache.factor_e, objective.eve)):
+        T = _noiseless_points(F, v, cache.signals, cache.p1)
+        for weights in (False, True):
+            want = allocating_mc_link(T, samples, weights)
+            got = metrics._mc_link(T, samples, weights, objective._work)
+            if not weights:
                 assert np.array_equal(got, want)
             else:
                 assert got[0] == want[0]
