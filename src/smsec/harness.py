@@ -13,8 +13,15 @@ Protocol conventions (the underlying studies leave these open):
 * The no-precoding baseline is the all-ones vector, which already sits on
   the power sphere tr(v v^H) = N_t.
 * Channels are redrawn per trial and shared across SNR points and methods;
-  secrecy rates are evaluated with identical noise substreams across
-  methods (common random numbers).
+  secrecy rates are evaluated with identical noise samples across methods
+  (common random numbers).  All methods of a (trial, SNR) point are
+  optimized first, and their precoders then go to ``secrecy_rate_mc`` as
+  one stack on the ``substream(seed, "eval", si, trial)`` generator: both
+  links are whitened and their samples drawn once for the point, every
+  method's rate is taken on those very samples, and each equals the rate
+  of a single-precoder call on the same generator state.  So differences
+  between methods at a point are free of sampling noise between them; the
+  standard error of one method's mean over channels is unchanged.
 """
 
 from __future__ import annotations
@@ -81,6 +88,10 @@ class Method(str, Enum):
 
 
 _OPTIMIZING_METHODS = (Method.MAX_ASR_GD, Method.MAX_SR_GD, Method.MAX_ASR_SCA)
+# Methods that draw from their own generator: SR-GD its frozen samples, SCA
+# its rounding directions.  The others get none: making a generator costs
+# about half an ASR-GD step at n_tx = 16, M = 4.
+_DRAWING_METHODS = (Method.MAX_SR_GD, Method.MAX_ASR_SCA)
 
 # Largest constellation order a config may ask for.  make_codebook allocates
 # M symbols, so an order such as 2**40 would exhaust memory (MemoryError)
@@ -327,7 +338,7 @@ def _optimize(
     cache,
     config: ExperimentConfig,
     v0: np.ndarray,
-    opt_rng: np.random.Generator,
+    opt_rng: np.random.Generator | None,
 ) -> tuple[np.ndarray, OptTrace | None]:
     """Run one precoder method; returns (final vector, trace or None)."""
     if method is Method.NONE:
@@ -351,7 +362,9 @@ def _per_trial_rates(
     """Optimize and evaluate every (trial, snr, method) combination.
 
     Returns (sr_mc, asr, iterations) samples keyed by (snr index, method);
-    iteration counts are -1 for the no-precoding baseline.  With
+    iteration counts are -1 for the no-precoding baseline.  The methods of
+    a point share one ``secrecy_rate_mc`` call on a stack of their
+    precoders (the module docstring says why).  With
     ``evaluate=False`` the rate fields are nan (iteration studies only need
     the optimizer traces).
     """
@@ -366,19 +379,25 @@ def _per_trial_rates(
         for si, snr_db in enumerate(snr_points):
             powers = config.powers_at(snr_db)
             cache = build_cache(channels, proj, powers, codebook)
+            runs = []
             for method in config.methods:
-                opt_rng = substream(config.seed, "opt", method.value, si, trial)
-                v, trace = _optimize(method, cache, config, v0, opt_rng)
-                if evaluate:
-                    eval_rng = substream(config.seed, "eval", si, trial)
-                    sr = secrecy_rate_mc(
-                        channels, proj, powers, codebook, v, config.n_samp, eval_rng
-                    )
-                    rate_bound = asr(cache, v, clamp=True)
-                else:
-                    sr, rate_bound = float("nan"), float("nan")
+                opt_rng = None
+                if method in _DRAWING_METHODS:
+                    opt_rng = substream(config.seed, "opt", method.value, si, trial)
+                runs.append(_optimize(method, cache, config, v0, opt_rng))
+            if evaluate:
+                # One whitening and one draw for all methods of the point.
+                eval_rng = substream(config.seed, "eval", si, trial)
+                precoders = np.stack([v for v, _ in runs])
+                srs = secrecy_rate_mc(
+                    channels, proj, powers, codebook, precoders, config.n_samp, eval_rng
+                )
+                bounds = [asr(cache, v, clamp=True) for v, _ in runs]
+            else:
+                srs = bounds = [float("nan")] * len(runs)
+            for method, (_, trace), sr, rate_bound in zip(config.methods, runs, srs, bounds):
                 iterations = -1 if trace is None else trace.iterations
-                results[(si, method)].append((sr, rate_bound, iterations))
+                results[(si, method)].append((float(sr), rate_bound, iterations))
     return results
 
 

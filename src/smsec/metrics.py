@@ -36,21 +36,30 @@ so all K^2 quadratic forms cost O(K N_t^2 + K^2 N_t) in this form.
 Every *vector* quantity is taken from the received constellation.  With
 F = Q^{-1/2} C the whitened channel (N x N_t) and t_k = sqrt(p1) F diag(v) s_k
 the noise-free received points, the scaled quadratic form p1 v^H A_{kk'} v
-is ||t_k - t_k'||^2, a pairwise distance of the N x K matrix T.  One kernel,
+is ||t_k - t_k'||^2, a pairwise distance of the N x K matrix T.  No kernel
+multiplies by S to get T: every SM symbol is s_{n,m} = e_n s_m (one active
+antenna carrying one of M constellation points), so the point of symbol
+k = (n-1)M + (m-1) is B_nm v_n with the v-independent point basis
+B_inm = sqrt(p1) F_in s_m (``model._point_basis``), and T is one broadcast
+of v over B's antenna axis reshaped to N x K (``model._basis_points``),
+O(K N) instead of the O(K N N_t) product with S.  One kernel,
 ``_sq_distances``, takes all K^2 of them (times a scale) from one real
 K x K Gram of the stacked points [Re T; Im T], in O(K^2 N) per link; N, the
 link's receive antennas, is small.  ``_constellation_terms`` turns them
 into the log terms of ``asr``, ``link_rate_approx`` and ASR-GD's value
 (``smsec.optim``), and the Monte-Carlo kernels below take them with scale
 -1.  The gradients of ASR-GD and SR-GD pull each pair's weight back through
-the same points (``_pair_pull`` in ``smsec.optim``), and the rounding sweep
-there scores each direction d on the points sqrt(p1) F diag(d) S: power t
-only scales every distance by t.  :class:`QuadFormCache` is built from S
-and each link's F alone; it derives S^H, each link's N_t x N_t Gram
-R = F^H F and the rank bound min(N, N_t) from them, so one whitening per
-link (an eigendecomposition of Q, in :func:`whiten`) serves every kernel,
-and the module needs only numpy.  It also stacks both links' F as one
-(2, N_max, N_t) array, the link with fewer receive antennas padded by zero
+the same points (``_pair_pull`` in ``smsec.optim``), contracting over
+(antenna, symbol) with the pull basis [conj(B); 1j conj(B)] instead of
+through S^H, in O(K^2 N + K N) per link; the rounding sweep there scores
+each direction d on the points sqrt(p1) F diag(d) S: power t only scales
+every distance by t.  :class:`QuadFormCache` is built from S and each
+link's F alone; it derives the M constellation points, both links' point
+and pull bases, S^H (which only the lifted kernels below read), each link's
+N_t x N_t Gram R = F^H F and the rank bound min(N, N_t) from them, so one
+whitening per link (an eigendecomposition of Q, in :func:`whiten`) serves
+every kernel, and the module needs only numpy.  It stacks both links'
+bases as one array, the link with fewer receive antennas padded by zero
 rows, so that ``asr`` and ASR-GD take both links' points, distances, log
 terms and pulls in one stacked pass.  A zero row adds an exact zero to every
 sum, so the stacked results equal the per-link ones bit for bit wherever
@@ -85,7 +94,8 @@ on the cache's factors).  :func:`_sampled_links` draws both links' samples
 from one seed (common random numbers); when both links have as many
 receive antennas the two draws are equal, so the samples are drawn once and
 shared.  With T = sqrt(p1) F diag(v) S (N x K) the noise-free received
-points t_k and u = 2 Re(T^H W) (K x S), the exponent of pair (a, b) under
+points t_k (on the link's point basis, as above) and u = 2 Re(T^H W)
+(K x S), the exponent of pair (a, b) under
 sample s is
 
     E_sab = ||w_s||^2 - ||t_a - t_b + w_s||^2 = u_sb - u_sa - ||t_a - t_b||^2,
@@ -109,7 +119,7 @@ from the same factors, with each chunk's four K x chunk arrays in one
 workspace: the K x K pair weights P and, for the samples' own term, the
 real 2N x K array Y = [Re W; Im W] (r - c)^T, r and c the row and column
 sums of each sample's weights.  Y joins the pair term before its one
-contraction with F^H and S^H (``_pair_pull`` in ``smsec.optim``), so no
+contraction with the pull basis (``_pair_pull`` in ``smsec.optim``), so no
 K x S or S x N_t array leaves the evaluator.
 
 The factored form is exact only while each sample's spread
@@ -122,7 +132,10 @@ which forms the chunk's K^2 exponentials E_sab <= ||w_s||^2 per sample by
 one broadcast (O(chunk K^2) memory); it needs no shift, since for
 CN(0, I_N) samples ||w_s||^2 stays far below the ~709 at which exp
 overflows.  Each chunk picks its kernel by its own samples' spread, and
-:func:`_mc_chunk` is the only place that chooses.  At K = 256 (4
+:func:`_mc_chunk` is the only place that chooses.  It computes the
+spreads only when the certified bound 2 sqrt(max D) max_s ||w_s||
+(Cauchy-Schwarz on u_sb - u_sa = 2 Re((t_b - t_a)^H w_s)) could pass the
+limit, which :func:`_mc_link` checks once per call.  At K = 256 (4
 antennas, 64-QAM) a chunk is 64 samples: at 30 dB, where every chunk is
 direct, an SR-GD run peaks at about 34 MiB instead of 258 MiB with all
 samples at once, and at 10 dB the narrow factored chunks make it about
@@ -130,12 +143,14 @@ samples at once, and at 10 dB the narrow factored chunks make it about
 
 ``secrecy_rate_mc_estimate`` adds the standard error of the secrecy rate:
 both links draw the same noise (common random numbers), so it is the
-error of the paired per-sample differences.
+error of the paired per-sample differences.  ``secrecy_rate_mc`` also takes
+a stack of precoders, which it evaluates on one whitening and one draw.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,7 +161,9 @@ from .model import (
     ChannelPair,
     PowerConfig,
     SMCodebook,
+    _basis_points,
     _noiseless_points,
+    _point_basis,
     noise_covariance,
 )
 
@@ -178,6 +195,12 @@ _EXP2_SCALE = -0.5 / _LN2
 # matrix products finite; and a pair whose exp(-D_ab) underflows
 # (D_ab > ~745) weighs less than e^(500 - 745) relative to its row sum.
 _MC_SPREAD_LIMIT = 500.0
+
+# Relative margin on the certified spread bound of :func:`_mc_link`: the
+# exact max/min spread pass runs only when the bound times 1 + margin passes
+# the limit, so the rounding of the bound and of u (a few ulps) never hides
+# a spread beyond it.
+_MC_SPREAD_MARGIN = 1e-6
 
 # Largest K x chunk float array, in bytes, that :func:`_mc_link` takes its
 # samples in, for the secrecy rate, mi_monte_carlo and SR-GD alike: K = 8
@@ -212,21 +235,25 @@ class QuadFormCache:
     from which every vector kernel (``asr``, ``link_rate_approx``, ASR-GD
     and the rounding sweep) forms the received points; they are the
     matrices the Monte-Carlo rate whitens with, bit for bit.  Everything
-    else is derived from them at construction: ``factors`` stacks them as
-    one (2, N_max, N_t) array [F_b; F_e], the link with fewer receive
-    antennas padded by zero rows, so that ``asr`` and ASR-GD take both links
-    in one stacked pass (a zero row adds an exact zero to every distance and
-    every pull); ``gram_b``/``gram_e`` are the
-    Grams R = F^H F = C^H Q^{-1} C (their Hermitian part,
-    :func:`_factor_gram`), which only the lifted kernels of a matrix W take
-    (``relaxed_asr``, SCA, ``f1``/``f2``/``grad_f1``), and ``signals_h`` is
-    S^H, so that the pair kernels do not conjugate S on every call.
-    ``dataclasses.replace`` with new factors therefore rederives the stack
-    and both Grams.
-    The pair matrix of symbols (k, k') on a link is R * conj(d d^H) with
+    else is derived from them at construction: ``symbols`` holds the M
+    constellation points (row 0 of S: s_{1,m} = e_1 s_m); ``basis`` stacks
+    both links' point bases B_inm = sqrt(p1) F_in s_m as one
+    (2, N_max, N_t, M) array, the link with fewer receive antennas padded by
+    zero rows, from which every vector kernel forms its received points by
+    one broadcast of v and ``asr`` and ASR-GD take both links in one stacked
+    pass (a zero row adds an exact zero to every distance and every pull);
+    ``pull_basis`` is the (2, 2, N_max, N_t, M) stack [conj(B); 1j conj(B)]
+    of each link, which the gradient pulls contract with (:meth:`bases`
+    gives one link's pair); ``gram_b``/``gram_e`` are the Grams
+    R = F^H F = C^H Q^{-1} C (their Hermitian part, :func:`_factor_gram`),
+    which only the lifted kernels of a matrix W take (``relaxed_asr``, SCA,
+    ``f1``/``f2``/``grad_f1``), and ``signals_h`` is S^H, so that those
+    lifted pair kernels do not conjugate S on every call.
+    ``dataclasses.replace`` with new factors therefore rederives the bases
+    and both Grams.  The pair matrix of symbols (k, k') on a link is R * conj(d d^H) with
     d = s_k - s_k'; the kernels never form it, and :meth:`pair_matrix`
     builds one on demand for checks.  The arrays
-    take O(N_t K + N_t^2 + N N_t) memory.  Immutable after construction;
+    take O(N_t K + N_t^2 + N K) memory.  Immutable after construction;
     safe to share across threads.
     """
 
@@ -236,7 +263,9 @@ class QuadFormCache:
     M: int
     factor_b: np.ndarray
     factor_e: np.ndarray
-    factors: np.ndarray = field(init=False, repr=False, compare=False)
+    symbols: np.ndarray = field(init=False, repr=False, compare=False)
+    basis: np.ndarray = field(init=False, repr=False, compare=False)
+    pull_basis: np.ndarray = field(init=False, repr=False, compare=False)
     gram_b: np.ndarray = field(init=False, repr=False, compare=False)
     gram_e: np.ndarray = field(init=False, repr=False, compare=False)
     signals_h: np.ndarray = field(init=False, repr=False, compare=False)
@@ -247,7 +276,11 @@ class QuadFormCache:
         factors = np.zeros((2, n_rx, self.factor_b.shape[1]), dtype=np.result_type(*links))
         for out, F in zip(factors, links):
             out[: F.shape[0]] = F
-        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "symbols", self.signals[0, : self.M].copy())
+        basis = _point_basis(factors, self.symbols, self.p1)
+        object.__setattr__(self, "basis", basis)
+        conj = np.conjugate(basis)
+        object.__setattr__(self, "pull_basis", np.stack([conj, 1j * conj], axis=1))
         object.__setattr__(self, "gram_b", _factor_gram(self.factor_b))
         object.__setattr__(self, "gram_e", _factor_gram(self.factor_e))
         object.__setattr__(self, "signals_h", self.signals.conj().T)
@@ -271,6 +304,11 @@ class QuadFormCache:
         if side == "eve":
             return self.factor_e
         raise ValueError(f"side must be 'bob' or 'eve', got {side!r}")
+
+    def bases(self, side: str) -> tuple[np.ndarray, np.ndarray]:
+        """The ``side`` link's point basis (N x N_t x M) and pull basis (2 x N x N_t x M)."""
+        link, n_rx = int(side == "eve"), self.factor(side).shape[0]
+        return self.basis[link, :n_rx], self.pull_basis[link, :, :n_rx]
 
     def noise_dim(self, side: str) -> int:
         """min(N, N_t) of the ``side`` link, which bounds the rank of its Gram."""
@@ -449,7 +487,7 @@ def _constellation_terms(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     ``T`` holds the received points t_k as columns (N x K), with an optional
     leading stack axis that is carried through (both links at once, as
-    ``QuadFormCache.factors`` gives them).  The exponents
+    ``QuadFormCache.basis`` gives them).  The exponents
     in base 2 are x = :func:`_sq_distances` (T, c) with c = -1/(2 ln 2),
     whose diagonal is exactly 0, hence every row sum is at least 1 and no
     max shift is needed.  Returns the K log terms and the K x K weights
@@ -461,6 +499,17 @@ def _constellation_terms(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sums = e.sum(axis=-1)
     e *= np.reciprocal(sums)[..., None]
     return np.log2(sums, out=sums), e
+
+
+def _asr_of_terms(inner: np.ndarray) -> float:
+    """Mean over K of the eavesdropper's minus the legitimate link's log terms ``inner``.
+
+    ``inner`` stacks the two links' K log terms, legitimate first.  The sum
+    over K divided by K: np.mean's own bits (one pairwise sum, one
+    division), without its Python overhead.
+    """
+    difference = inner[1] - inner[0]
+    return float(difference.sum()) / difference.shape[-1]
 
 
 def relaxed_asr(cache: QuadFormCache, W: np.ndarray) -> float:
@@ -480,7 +529,7 @@ def link_rate_approx(cache: QuadFormCache, side: str, v: np.ndarray) -> float:
 
     log2(M*N_t) - (1/(M*N_t)) * sum_k log2 sum_k' exp(-p1 * v^H A_{kk'} v / 2),
     the log terms of :func:`_constellation_terms` at the link's received
-    points, O(K^2 N + K N N_t) with K = M*N_t.
+    points, O(K^2 N + K N) with K = M*N_t.
 
     Tracks the Monte-Carlo mutual information closely over the whole SNR
     range and is exact in both limits (0 and log2(M*N_t)), but it is not a
@@ -488,7 +537,7 @@ def link_rate_approx(cache: QuadFormCache, side: str, v: np.ndarray) -> float:
     true value.  :func:`mi_lower_bound` is the bound.
     """
     v = np.asarray(v, dtype=complex)
-    T = _noiseless_points(cache.factor(side), v, cache.signals, cache.p1)
+    T = _basis_points(cache.bases(side)[0], v)
     inner, _ = _constellation_terms(T)
     return float(np.log2(cache.n_signals) - np.mean(inner))
 
@@ -517,14 +566,14 @@ def asr(cache: QuadFormCache, v: np.ndarray, clamp: bool = False) -> float:
     difference of the links' :func:`_constellation_terms` (eavesdropper
     minus legitimate), so the log2(M*N_t) terms cancel analytically, and it
     equals :func:`relaxed_asr` at W = v v^H to rounding.  Both links are
-    taken in one stacked pass over ``cache.factors``, which costs
-    O(K^2 N + K N N_t) per link with K = M*N_t.  With ``clamp`` the
+    taken in one stacked pass over ``cache.basis``, which costs
+    O(K^2 N + K N) per link with K = M*N_t.  With ``clamp`` the
     value is floored at 0, matching the reported (rather than optimized)
     secrecy rate.
     """
     v = np.asarray(v, dtype=complex)
-    inner, _ = _constellation_terms(_noiseless_points(cache.factors, v, cache.signals, cache.p1))
-    value = float(np.mean(inner[1] - inner[0]))
+    inner, _ = _constellation_terms(_basis_points(cache.basis, v))
+    value = _asr_of_terms(inner)
     return max(value, 0.0) if clamp else value
 
 
@@ -593,11 +642,17 @@ def _mc_chunk_width(K: int, n_samp: int) -> int:
     return min(n_samp, max(1, _MC_CHUNK_BYTES // (8 * K)))
 
 
+def _sample_radius(samples: np.ndarray) -> float:
+    """max_s ||w_s|| of a real 2N x S sample array [Re W; Im W]."""
+    return math.sqrt(np.max(np.einsum("is,is->s", samples, samples)))
+
+
 def _mc_link(
     T: np.ndarray,
     samples: np.ndarray,
     weights: bool = False,
     work: np.ndarray | None = None,
+    radius: float | None = None,
 ) -> np.ndarray | tuple[float, np.ndarray, np.ndarray]:
     """Sampled mutual information of one link at its received points, in sample chunks.
 
@@ -610,7 +665,13 @@ def _mc_link(
     chunks of :func:`_mc_chunk_width` samples, each by :func:`_mc_chunk`,
     which picks the factored or the direct kernel by the chunk's own spread.
     Each chunk's arrays are freed before the next chunk's are allocated, so
-    the working set does not grow with S.
+    the working set does not grow with S.  Every sample's spread
+    max_b u_sb - min_b u_sb = max_ab 2 Re((t_b - t_a)^H w_s) is at most
+    2 sqrt(max D) max_s ||w_s|| (Cauchy-Schwarz); while that bound, with
+    the margin ``_MC_SPREAD_MARGIN``, stays within ``_MC_SPREAD_LIMIT``
+    every chunk is factored and the exact spread pass is skipped.  max D is
+    read from D itself, before the exponential: exp(-D) underflows to 0 at
+    high SNR, so X cannot give it back.
 
     Without ``weights`` returns the per-sample estimates (S,), log2 K minus
     the mean of each sample's column of inner.  With ``weights`` (SR-GD)
@@ -623,7 +684,9 @@ def _mc_link(
     (:func:`_mc_chunk`); X times that sum joins P once, after the last chunk.
     ``work``, a float array of shape (4, K, :func:`_mc_chunk_width`), holds
     each chunk's four K x chunk arrays instead of new ones, with the same
-    bits.  With one chunk (K = 8 with S up to 2048) every result is that of
+    bits.  ``radius``, the samples' :func:`_sample_radius`, spares a caller
+    that evaluates the same samples many times (SR-GD) its recomputation.
+    With one chunk (K = 8 with S up to 2048) every result is that of
     the whole sample set bit for bit; with several, BLAS may block the
     narrower products differently, which moves a result by a few ulps.
     """
@@ -631,13 +694,18 @@ def _mc_link(
     width = _mc_chunk_width(K, n_samp)
     chunks = [slice(start, start + width) for start in range(0, n_samp, width)]
     points = (2 * np.concatenate([T.real, T.imag])).T
-    X = _sq_distances(T, -1.0)
+    X = _sq_distances(T, -1.0)  # -D, whose diagonal is exactly 0
+    if radius is None:
+        radius = _sample_radius(samples)
+    check = 2.0 * math.sqrt(-X.min()) * radius * (1.0 + _MC_SPREAD_MARGIN) > _MC_SPREAD_LIMIT
     np.exp(X, out=X)
     np.fill_diagonal(X, 0.0)
     if not weights:
-        return np.concatenate([_mc_chunk(T, points, X, samples[:, c], work) for c in chunks])
+        return np.concatenate(
+            [_mc_chunk(T, points, X, samples[:, c], check, work) for c in chunks]
+        )
     P, G, Y = np.zeros((K, K)), np.zeros((K, K)), np.zeros((samples.shape[0], K))
-    total = sum(_mc_chunk(T, points, X, samples[:, c], work, (P, G, Y)) for c in chunks)
+    total = sum(_mc_chunk(T, points, X, samples[:, c], check, work, (P, G, Y)) for c in chunks)
     G *= X
     P += G
     return np.log2(K) - total / (K * n_samp), P, Y
@@ -648,6 +716,7 @@ def _mc_chunk(
     points: np.ndarray,
     X: np.ndarray,
     stacked: np.ndarray,
+    check: bool,
     work: np.ndarray | None,
     weights: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray | float:
@@ -657,7 +726,9 @@ def _mc_chunk(
     ``stacked`` the chunk's samples (2N x w), so u = 2 Re(T^H W) (K x w) is
     one real product.  While every sample's spread
     max_b u_sb - min_b u_sb is at most :data:`_MC_SPREAD_LIMIT` the row sums
-    come from the factored kernel: with c_s = max_b u_sb and e = exp(u - c),
+    come from the factored kernel; the spreads are computed only with
+    ``check``, which :func:`_mc_link` clears when its certified bound keeps
+    every spread within the limit.  With c_s = max_b u_sb and e = exp(u - c),
 
         sum_b exp(E_sab) = (e_as + (X e)_as) / e_as = 1 + (X e)_as / e_as,
 
@@ -666,7 +737,8 @@ def _mc_chunk(
     the diagonal term is exactly 1: with no signal (T = 0) and K a power of
     two every log term is log2(K) bit for bit.
 
-    Without ``weights`` returns the chunk's per-sample estimates (w,).
+    Without ``weights`` returns the chunk's per-sample estimates (w,),
+    log2 K minus each column's mean taken as a product with a ones vector.
     With ``weights`` = (P, G, Y), SR-GD's accumulators, returns the sum of
     the chunk's log terms and adds its pair weights in place.  From the
     factors, with g = 1 / (e + X e) the off-diagonal weights are
@@ -687,7 +759,7 @@ def _mc_chunk(
         slots = work.reshape(4, -1)[:, : K * width].reshape(4, K, width)
     u = np.matmul(points, stacked, out=slots[0])
     top = u.max(axis=0)
-    direct = np.max(top - u.min(axis=0)) > _MC_SPREAD_LIMIT
+    direct = check and np.max(top - u.min(axis=0)) > _MC_SPREAD_LIMIT
     if direct:
         expo = _mc_exponentials(T, u)
         sums = expo.sum(axis=1)
@@ -700,7 +772,7 @@ def _mc_chunk(
         inner += 1.0
         np.log2(inner, out=inner)
     if weights is None:
-        return np.log2(K) - np.mean(inner, axis=0)
+        return np.log2(K) - (np.ones(K) @ inner) / K
     P, G, Y = weights
     total = np.sum(inner)
     if direct:
@@ -749,10 +821,45 @@ def mi_monte_carlo(
     secrecy rate.
     """
     F = whitening @ channel
-    T = _noiseless_points(F, np.asarray(v, dtype=complex), codebook.signal_matrix(), p1)
+    T = _noiseless_points(F, np.asarray(v, dtype=complex), codebook.symbols, p1)
     per_sample = _mc_link(T, _draw_samples(F.shape[0], n_samp, rng))
     value = float(np.mean(per_sample))
     return MIEstimate(value=max(value, 0.0), std_error=_std_error(per_sample), n_samples=n_samp)
+
+
+def _lane_samples(
+    channels: ChannelPair,
+    proj: ANProjector,
+    powers: PowerConfig,
+    codebook: SMCodebook,
+    V: np.ndarray,
+    n_samp: int,
+    rng: np.random.Generator,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Both links' per-sample estimates (I_b,s and I_e,s) of every precoder (row) of ``V``.
+
+    Both links are whitened once and their samples drawn once
+    (:func:`_sampled_links`, on the first step); each row then goes through
+    :func:`_mc_link` in turn and is yielded before the next row is
+    evaluated, so the peak memory is that of one precoder, and each row's
+    estimates equal, bit for bit, those of a one-row ``V`` on the same
+    generator state.
+    """
+    factors = _whitened_channels(channels, proj, powers)
+    samples = _sampled_links(*factors, n_samp, rng)
+    links = [
+        (_point_basis(F, codebook.symbols, powers.p1), W, _sample_radius(W))
+        for F, W in zip(factors, samples)
+    ]
+    for v in V:
+        yield tuple(_mc_link(_basis_points(B, v), W, radius=r) for B, W, r in links)
+
+
+def _floored_rate(per_b: np.ndarray, per_e: np.ndarray) -> float:
+    """[max(I_b, 0) - max(I_e, 0)]^+ of the links' per-sample estimates."""
+    mi_b = max(float(np.mean(per_b)), 0.0)
+    mi_e = max(float(np.mean(per_e)), 0.0)
+    return max(mi_b - mi_e, 0.0)
 
 
 def secrecy_rate_mc_estimate(
@@ -773,17 +880,10 @@ def secrecy_rate_mc_estimate(
     is the error of the unfloored difference of the means.  The per-sample
     values come from :func:`_mc_link`, in chunks of bounded memory.
     """
-    v = np.asarray(v, dtype=complex)
-    S = codebook.signal_matrix()
-    factors = _whitened_channels(channels, proj, powers)
-    samples = _sampled_links(*factors, n_samp, rng)
-    per_b, per_e = (
-        _mc_link(_noiseless_points(F, v, S, powers.p1), W) for F, W in zip(factors, samples)
-    )
-    mi_b = max(float(np.mean(per_b)), 0.0)
-    mi_e = max(float(np.mean(per_e)), 0.0)
+    V = np.asarray(v, dtype=complex)[None]
+    ((per_b, per_e),) = _lane_samples(channels, proj, powers, codebook, V, n_samp, rng)
     return MIEstimate(
-        value=max(mi_b - mi_e, 0.0), std_error=_std_error(per_b - per_e), n_samples=n_samp
+        value=_floored_rate(per_b, per_e), std_error=_std_error(per_b - per_e), n_samples=n_samp
     )
 
 
@@ -795,12 +895,20 @@ def secrecy_rate_mc(
     v: np.ndarray,
     n_samp: int,
     rng: np.random.Generator,
-) -> float:
+) -> float | np.ndarray:
     """Monte-Carlo secrecy rate [I(bob) - I(eve)]^+ in bits per channel use.
 
     Both links are estimated with ``n_samp`` noise realizations drawn from
     generators seeded identically (common random numbers), which cancels
     shared sampling noise in the difference.  The value of
-    :func:`secrecy_rate_mc_estimate`.
+    :func:`secrecy_rate_mc_estimate`.  ``v`` is one precoder (N_t,), which
+    gives a float, or a stack (B, N_t), which gives the B rates as an array:
+    the links are whitened and drawn once for the whole stack, so every
+    precoder sees the same noise samples (common random numbers across
+    precoders too), and each rate equals a single-precoder call on the same
+    generator state.
     """
-    return secrecy_rate_mc_estimate(channels, proj, powers, codebook, v, n_samp, rng).value
+    V = np.asarray(v, dtype=complex)
+    lanes = _lane_samples(channels, proj, powers, codebook, np.atleast_2d(V), n_samp, rng)
+    rates = [_floored_rate(per_b, per_e) for per_b, per_e in lanes]
+    return rates[0] if V.ndim == 1 else np.array(rates)

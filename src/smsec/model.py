@@ -266,15 +266,40 @@ def transmit(
     return np.sqrt(powers.p1) * (v * s) + np.sqrt(powers.p2) * (proj.t_an @ an_sample)
 
 
-def _noiseless_points(C: np.ndarray, v: np.ndarray, signals: np.ndarray, p1: float) -> np.ndarray:
+def _point_basis(C: np.ndarray, symbols: np.ndarray, p1: float) -> np.ndarray:
+    """sqrt(p1) * C[:, n] * s_m for every antenna n and constellation point m, shape (N, N_t, M).
+
+    Every SM symbol is s_{n,m} = e_n * s_m, so the noise-free received point
+    of symbol k = (n-1)*M + (m-1) under precoder v is this basis entry
+    (n, m) times v_n: the basis is the v-independent part of every received
+    constellation.  A stack of channels C (B x N x N_t) gives a stack of
+    bases (B x N x N_t x M).
+    """
+    return (np.sqrt(p1) * C)[..., None] * symbols
+
+
+def _basis_points(basis: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Received points of precoder v on a :func:`_point_basis`, as columns (N x K).
+
+    One broadcast of v over the antenna axis, reshaped antenna-major to
+    N x K with no product against the N_t x K signal matrix.  A stack of
+    bases (B x N x N_t x M) or of precoders (B x N_t) gives a stack of point
+    sets (B x N x K).
+    """
+    points = basis * v[..., None, :, None]
+    return points.reshape(*points.shape[:-2], -1)
+
+
+def _noiseless_points(C: np.ndarray, v: np.ndarray, symbols: np.ndarray, p1: float) -> np.ndarray:
     """Noise-free received points sqrt(p1) * C * diag(v) * s_k as columns, shape (N, K).
 
-    ``signals`` is the SM signal matrix (N_t x K); the columns are the ML
-    candidate set and the points whose pairwise distances drive the
-    Monte-Carlo mutual information.  A stack of precoders v (B x N_t) gives
-    a stack of point sets (B x N x K).
+    ``symbols`` are the M constellation points; the points are those of
+    :func:`_basis_points` on the channel's :func:`_point_basis`.  The
+    columns are the ML candidate set and the points whose pairwise
+    distances drive every rate kernel.  A stack of precoders v (B x N_t)
+    or of channels C (B x N x N_t) gives a stack of point sets (B x N x K).
     """
-    return np.sqrt(p1) * (C @ (v[..., :, None] * signals))
+    return _basis_points(_point_basis(C, symbols, p1), v)
 
 
 def ml_detect(
@@ -292,7 +317,7 @@ def ml_detect(
     """
     if len(y) != C.shape[0]:
         raise ValueError("received vector length must match channel rows")
-    candidates = _noiseless_points(C, v, codebook.signal_matrix(), p1)
+    candidates = _noiseless_points(C, v, codebook.symbols, p1)
     metrics = np.sum(np.abs(y[:, None] - candidates) ** 2, axis=0)
     k = int(np.argmin(metrics))  # argmin returns the first minimum on ties
     return k // codebook.M + 1, k % codebook.M + 1

@@ -33,9 +33,13 @@ distances one real K x K Gram of T gives (``_sq_distances`` in
 ``smsec.metrics``): ASR-GD's value, the Monte-Carlo rate of SR-GD, both
 gradients (:func:`_pair_pull`, to which SR-GD adds its samples' term before
 the one contraction) and the rounding sweep, which scores each direction d
-at every power on the points of F diag(d) S.  Only
+at every power on the points of F diag(d) S.  No vector kernel multiplies
+by S: each SM symbol is e_n s_m, so T is the cache's point basis
+sqrt(p1) F_in s_m times v_n, one broadcast, and each pull contracts over
+(antenna, symbol) with the matching pull basis, in O(K^2 N + K N) per link
+instead of O(K^2 N + K N N_t).  Only
 the true lifted W of SCA use ``_pair_traces`` (the pair values
-tr(W A_{kk'}) over one K x K Gram of the SM signal matrix S) and
+tr(W A_{kk'}) over one K x K Gram of the SM signal matrix S and S^H) and
 :func:`_weighted_pair_sum`, the softmax-weighted sums of the A_{kk'} that
 every lifted pair gradient is built from.
 
@@ -56,17 +60,19 @@ import numpy as np
 from .errors import NumericalError
 from .metrics import (
     _EXP2_SCALE,
+    _asr_of_terms,
     _constellation_terms,
     _lifted_eval,
     _mc_chunk_width,
     _mc_link,
+    _sample_radius,
     _sampled_links,
     _sq_distances,
     QuadFormCache,
     asr,  # not called here; tracing patches smsec.optim.asr, so the name stays
     relaxed_asr,  # max_asr_sca calls it through this namespace, which tracing patches
 )
-from .model import _noiseless_points
+from .model import _basis_points
 
 __all__ = [
     "GDParams",
@@ -246,7 +252,7 @@ def _asr_value_and_gradient(
     """Unclamped approximate secrecy rate at v and its conjugate gradient.
 
     Takes one :func:`_constellation_terms` pass over both links, stacked as
-    ``cache.factors``, on the same received points as ``asr``, so the value
+    ``cache.basis``, on the same received points as ``asr``, so the value
     equals ``asr(cache, v, clamp=False)`` bit for bit.  With t_k the received points
     of a link, its log terms are l_a = log2 sum_b exp(-||t_a - t_b||^2 / 2)
     and t_a - t_b = sqrt(p1) F diag(s_a - s_b) v, so
@@ -254,42 +260,47 @@ def _asr_value_and_gradient(
     conj(s_a - s_b) * F^H (t_a - t_b) with P the row softmax.  Summed over a,
     that is -sqrt(p1) / (2 ln 2) rowsum(conj(S) * F^H (T L)), with
     L = diag(r + c) - P - P^T and r, c the row and column sums of P
-    (:func:`_pair_pull`).  The gradient is the eavesdropper's term
-    minus the legitimate one's, over K.  The pair costs O(K^2 N + K N N_t)
+    (:func:`_pair_pull`, which returns sqrt(p1) times that sum: its pull
+    basis carries the factor).  The gradient is the eavesdropper's term
+    minus the legitimate one's, over K.  The pair costs O(K^2 N + K N)
     with K = M*N_t and N the link's receive antennas; the lifted form at
     W = v v^H costs O(K N_t^2 + K^2 N_t) and agrees to rounding.
     """
     v = np.asarray(v, dtype=complex)
-    T = _noiseless_points(cache.factors, v, cache.signals, cache.p1)
+    T = _basis_points(cache.basis, v)
     inner, P = _constellation_terms(T)
     # The row softmax without its diagonal, for the reason _weighted_pair_sum gives.
     P.reshape(2, -1)[:, :: P.shape[-1] + 1] = 0.0
-    pull = _pair_pull(T, P, cache.factors, cache.signals_h)
+    pull = _pair_pull(T, P, cache.pull_basis)
     grad = np.subtract(pull[1], pull[0], out=pull[1])
-    grad *= -math.sqrt(cache.p1) / (2 * _LN2 * cache.n_signals)
-    return float(np.mean(inner[1] - inner[0])), grad
+    grad *= -1.0 / (2 * _LN2 * cache.n_signals)
+    return _asr_of_terms(inner), grad
 
 
 def _pair_pull(
-    T: np.ndarray, P: np.ndarray, F: np.ndarray, S_h: np.ndarray, Y: np.ndarray | None = None
+    T: np.ndarray, P: np.ndarray, D: np.ndarray, Y: np.ndarray | None = None
 ) -> np.ndarray:
-    """sum_ab P_ab conj(s_a - s_b) * F^H (t_a - t_b) for K x K weights P, shape (N_t,).
+    """sqrt(p1) sum_ab P_ab conj(s_a - s_b) * F^H (t_a - t_b) for K x K weights P, shape (N_t,).
 
-    ``T`` holds a link's received points t_k (N x K), ``F`` is its whitened
-    channel and ``S_h`` is S^H; a leading stack axis on ``T``, ``P`` and
-    ``F`` (both links of ``QuadFormCache.factors``) is carried through to a
-    (2, N_t) result.  The sum is rowsum(conj(S) * F^H (T L)) with
+    ``T`` holds a link's received points t_k (N x K) and ``D`` is its pull
+    basis (``QuadFormCache.bases``), the 2 x N x N_t x M array
+    [conj(B); 1j conj(B)] of its point basis B_inm = sqrt(p1) F_in s_m; a
+    leading stack axis on ``T``, ``P`` and ``D`` (both links of
+    ``QuadFormCache.pull_basis``) is carried through to a (2, N_t) result.
+    The sum is sqrt(p1) rowsum(conj(S) * F^H (T L)) with
     L = diag(r + c) - P - P^T and r, c the row and column sums of P.  Since
     t_a - t_b = sqrt(p1) F diag(s_a - s_b) v, it equals
-    sqrt(p1) (sum_ab P_ab A_ab) v, the lifted weighted sum
-    (:func:`_weighted_pair_sum`) applied to v, in O(K^2 N + K N N_t) instead
-    of O(K^2 N_t + K N_t^2).  T L is formed on the real stacked points
+    p1 (sum_ab P_ab A_ab) v, the lifted weighted sum
+    (:func:`_weighted_pair_sum`) applied to v, in O(K^2 N + K N) instead of
+    O(K^2 N_t + K N_t^2).  T L is formed on the real stacked points
     Z = [Re T; Im T] as Z (r + c) - Z P - Z P^T, so P is never cast to
     complex.  ``Y``, a real 2N x K array of the same layout, is added to it
-    first, so rowsum(conj(S) * F^H (T L + Y)) costs one contraction: SR-GD
-    passes its samples' term there, ASR-GD passes none.  The row sum is
-    taken in the equal order colsum(conj(F) * ((T L + Y) S^H)), whose
-    temporaries are N x N_t instead of N_t x K.
+    first, so one contraction serves both: SR-GD passes its samples' term
+    there, ASR-GD passes none.  Column k = (n-1)M + (m-1) of S is e_n s_m,
+    so with Q = T L + Y the sum's entry n is
+    sum_im conj(B_inm) Q_i,(n,m) = sum_him D_hinm [Re Q; Im Q]_hi,(n,m): the
+    real rows of Q, viewed as 2 x N x N_t x M, times D, summed over
+    everything but the antenna, in O(K N) with no product against S.
     """
     ones = np.ones(P.shape[-1])
     Z = np.concatenate([T.real, T.imag], axis=-2)
@@ -298,9 +309,8 @@ def _pair_pull(
     ZL -= Z @ P.swapaxes(-1, -2)
     if Y is not None:
         ZL += Y
-    N = T.shape[-2]
-    LS = ZL @ S_h  # [Re(T L + Y); Im(T L + Y)] S^H, 2N x N_t
-    return np.sum(F.conj() * (LS[..., :N, :] + 1j * LS[..., N:, :]), axis=-2)
+    pull = D * ZL.reshape(D.shape)
+    return pull.sum(axis=(-4, -3, -1))
 
 
 def _weighted_pair_sum(
@@ -394,7 +404,7 @@ def max_asr_gd(cache: QuadFormCache, v0: np.ndarray, params: GDParams) -> OptTra
 
     Each candidate costs one stacked pass over both links' received
     constellations (:func:`_asr_value_and_gradient`), which gives its value
-    and gradient in O(K^2 N + K N N_t) per link with K = M*N_t and N the
+    and gradient in O(K^2 N + K N) per link with K = M*N_t and N the
     larger link's receive antennas.
     Accepted-iterate objectives are non-decreasing by construction; the
     final vector satisfies tr(v v^H) <= N_t.
@@ -412,7 +422,9 @@ class _SampledSecrecyObjective:
     evaluations are a pure function of the precoder, making the ascent
     loop's accept/reject decisions and finite-difference checks well
     defined.  ``bob`` and ``eve`` are the two links' samples, each the real
-    2N x S array [Re W; Im W]; F, S, S^H and p1 are read from ``cache``.
+    2N x S array [Re W; Im W], and their radii max_s ||w_s|| are kept for
+    the evaluator's spread bound; each link's point and pull bases are read
+    from ``cache``.
     :meth:`value_and_gradient` evaluates both links with
     ``smsec.metrics._mc_link``, in the sample chunks the reported rate
     takes, and the evaluator also sums the gradient's pair weights over the
@@ -425,17 +437,18 @@ class _SampledSecrecyObjective:
     def __init__(self, cache: QuadFormCache, n_samp: int, rng: np.random.Generator):
         self.cache = cache
         self.bob, self.eve = _sampled_links(cache.factor_b, cache.factor_e, n_samp, rng)
+        self._radii = {"bob": _sample_radius(self.bob), "eve": _sample_radius(self.eve)}
         K = cache.n_signals
         self._work = np.empty((4, K, _mc_chunk_width(K, n_samp)))
 
     def value_and_gradient(self, v: np.ndarray) -> tuple[float, np.ndarray]:
         """Sampled secrecy rate I(bob) - I(eve) at v and its conjugate gradient."""
         v = np.asarray(v, dtype=complex)
-        mi_b, g_b = self._link(self.cache.factor_b, self.bob, v)
-        mi_e, g_e = self._link(self.cache.factor_e, self.eve, v)
+        mi_b, g_b = self._link("bob", v)
+        mi_e, g_e = self._link("eve", v)
         return float(mi_b - mi_e), g_b - g_e
 
-    def _link(self, F: np.ndarray, samples: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray]:
+    def _link(self, side: str, v: np.ndarray) -> tuple[float, np.ndarray]:
         # Sampled MI of one link and its d/d(conj v).  With d = s_a - s_b the
         # exponent E_sab = -||alpha||^2 - 2 Re(alpha^H w_s) of
         # alpha = sqrt(p1) F diag(d) v has
@@ -446,14 +459,16 @@ class _SampledSecrecyObjective:
         # points T.  The w_s part is sum_s sum_ab w_sab conj(d) * F^H w_s
         # = sum_k conj(s_k) * F^H Y_k with Y = W (r - c)^T (N x K), r and c
         # the row and column sums of each sample's w, so it joins the pair
-        # term's T L before the one F^H / S^H contraction.  The diagonal
-        # (d = 0) is dropped before summing: it adds nothing, but at high
-        # SNR its weight is ~1 and would swamp the off-diagonal terms.
-        cache = self.cache
-        T = _noiseless_points(F, v, cache.signals, cache.p1)
-        mi, P, Y = _mc_link(T, samples, True, self._work)
-        scale = np.sqrt(cache.p1) / (cache.n_signals * samples.shape[1] * _LN2)
-        return mi, scale * _pair_pull(T, P, F, cache.signals_h, Y)
+        # term's T L before the one contraction with the pull basis, which
+        # carries the sqrt(p1).  The diagonal (d = 0) is dropped before
+        # summing: it adds nothing, but at high SNR its weight is ~1 and
+        # would swamp the off-diagonal terms.
+        basis, pull_basis = self.cache.bases(side)
+        samples = self.bob if side == "bob" else self.eve
+        T = _basis_points(basis, v)
+        mi, P, Y = _mc_link(T, samples, True, self._work, self._radii[side])
+        scale = 1.0 / (self.cache.n_signals * samples.shape[1] * _LN2)
+        return mi, scale * _pair_pull(T, P, pull_basis, Y)
 
 
 def max_sr_gd(
@@ -817,11 +832,13 @@ def _swept_log_terms(T: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
     their base-2 exponents at unit power; at power t every squared distance
     scales by t.  ``t_grid`` holds the powers t > 0 and the result has shape
     (B, len(t_grid), K).  The diagonal of t x is exactly 0, so every row sum
-    is at least 1 and needs no max shift.
+    is at least 1 and needs no max shift.  The row sums are one product with
+    a ones vector, about 3x faster than numpy's sum over the last axis at
+    this shape.
     """
     x = np.einsum("t,bij->btij", t_grid, _sq_distances(T, _EXP2_SCALE))  # no broadcast buffer
     np.exp2(x, out=x)
-    return np.log2(x.sum(axis=-1))
+    return np.log2(x @ np.ones(x.shape[-1]))
 
 
 def power_sweep_rounding(
@@ -854,7 +871,8 @@ def power_sweep_rounding(
     sweeps the normalised all-ones direction and isotropic draws instead.
 
     Directions are scored ``_SWEEP_BLOCK`` at a time on their stacked
-    received points F diag(d) S, the closed-form kernel of ``asr``: one real
+    received points F diag(d) S, one broadcast of the block over each
+    link's point basis, and the closed-form kernel of ``asr``: one real
     K x K Gram per direction and link serves every power
     (:func:`_swept_log_terms`).
     """
@@ -870,12 +888,12 @@ def power_sweep_rounding(
     t_grid = np.linspace(n_tx / _POWER_GRID, n_tx, _POWER_GRID)
     if not np.any(np.abs(t_grid - trace_w) <= _POWER_SNAP * t_grid):
         t_grid = np.sort(np.append(t_grid, trace_w))
-    S, p1 = cache.signals, cache.p1
+    basis_b, basis_e = cache.bases("bob")[0], cache.bases("eve")[0]
     best_vec, best_val = None, -np.inf
     for start in range(0, len(candidates), _SWEEP_BLOCK):
         block = candidates[start : start + _SWEEP_BLOCK]
-        eve = _swept_log_terms(_noiseless_points(cache.factor_e, block, S, p1), t_grid)
-        bob = _swept_log_terms(_noiseless_points(cache.factor_b, block, S, p1), t_grid)
+        eve = _swept_log_terms(_basis_points(basis_e, block), t_grid)
+        bob = _swept_log_terms(_basis_points(basis_b, block), t_grid)
         values = np.mean(eve - bob, axis=-1)
         for direction, row, i in zip(block, values, values.argmax(axis=1)):
             if row[i] > best_val:

@@ -11,7 +11,7 @@ the value to 1e-12 relative and the gradient to 1e-11.
 The pair kernels and the spectrahedron projection work in place on their own
 temporaries and take S^H from the cache.  On the same grid they must equal,
 bit for bit, the straightforward forms kept below as references.  So must
-the stacked pass over both links (``QuadFormCache.factors``, the link with
+the stacked pass over both links (``QuadFormCache.basis``, the link with
 fewer receive antennas padded by zero rows) against the per-link kernel it
 replaced, kept below as ``ref_asr_value_and_gradient``.
 """
@@ -23,7 +23,7 @@ import pytest
 
 from smsec import GDParams, asr, asr_gradient, default_precoder, max_asr_gd
 from smsec.metrics import _EXP2_SCALE, _lifted_eval, _pair_traces, _sq_distances
-from smsec.model import _noiseless_points
+from smsec.model import _basis_points, _point_basis
 from smsec.optim import (
     _ascend,
     _asr_value_and_gradient,
@@ -92,7 +92,8 @@ def ref_project_spectrahedron(W, budget):
 
 def ref_link_pull(cache, F, v):
     """One link's log terms and pair pull, as ASR-GD took them one link at a time."""
-    T = _noiseless_points(F, v, cache.signals, cache.p1)
+    basis = _point_basis(F, cache.symbols, cache.p1)
+    T = _basis_points(basis, v)
     x = _sq_distances(T, _EXP2_SCALE)
     e = np.exp2(x, out=x)
     sums = e.sum(axis=1)
@@ -104,16 +105,15 @@ def ref_link_pull(cache, F, v):
     ZL = Z * (P @ ones + ones @ P)
     ZL -= Z @ P
     ZL -= Z @ P.T
-    N = T.shape[0]
-    LS = ZL @ cache.signals_h
-    return inner, np.sum(F.conj() * (LS[:N] + 1j * LS[N:]), axis=0)
+    D = np.stack([basis.conj(), 1j * basis.conj()])
+    return inner, (D * ZL.reshape(D.shape)).sum(axis=(0, 1, 3))
 
 
 def ref_asr_value_and_gradient(cache, v):
     inner_b, pull_b = ref_link_pull(cache, cache.factor_b, v)
     inner_e, pull_e = ref_link_pull(cache, cache.factor_e, v)
     grad = np.subtract(pull_e, pull_b, out=pull_e)
-    grad *= -math.sqrt(cache.p1) / (2 * LN2 * cache.n_signals)
+    grad *= -1.0 / (2 * LN2 * cache.n_signals)
     return float(np.mean(inner_e - inner_b)), grad
 
 
@@ -154,7 +154,7 @@ def test_fused_pass_equals_separate_evaluations(n_tx, M, snr_db, n_b, n_e):
 @pytest.mark.parametrize("n_tx,M,snr_db,n_b,n_e", cases())
 def test_stacked_pass_equals_the_per_link_kernel(n_tx, M, snr_db, n_b, n_e):
     cache, v = case_instance(n_tx, M, snr_db, n_b, n_e)
-    assert cache.factors.shape == (2, max(n_b, n_e), n_tx)
+    assert cache.basis.shape == (2, max(n_b, n_e), n_tx, M)
     value, grad = _asr_value_and_gradient(cache, v)
     want_value, want_grad = ref_asr_value_and_gradient(cache, v)
     assert value == want_value

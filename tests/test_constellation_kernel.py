@@ -44,7 +44,7 @@ def cases():
 
 
 def received_points(cache, side, v):
-    return _noiseless_points(cache.factor(side), v, cache.signals, cache.p1)
+    return _noiseless_points(cache.factor(side), v, cache.symbols, cache.p1)
 
 
 @pytest.mark.parametrize("n_tx,M,snr_db,n_b,n_e", cases())

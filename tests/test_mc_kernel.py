@@ -31,7 +31,7 @@ from smsec.metrics import (
     _whitened_channels,
     secrecy_rate_mc_estimate,
 )
-from smsec.model import _noiseless_points
+from smsec.model import _noiseless_points, _point_basis
 from smsec.optim import _SampledSecrecyObjective
 
 from conftest import make_instance
@@ -128,10 +128,10 @@ def test_mc_kernel_matches_einsum_reference(n_tx, M, snr_db, n_b, n_e):
     signals, p1 = objective.cache.signals, objective.cache.p1
 
     values, grads = [], []
-    for F, samples in sampled_links(objective):
+    for side, (F, samples) in zip(("bob", "eve"), sampled_links(objective)):
         noise = complex_rows(samples)
         z = noise @ F.conj()  # z_s = F^H w_s
-        T = _noiseless_points(F, v, signals, p1)
+        T = _noiseless_points(F, v, objective.cache.symbols, p1)
         u = 2 * np.real(T.conj().T @ noise.T)  # from the complex samples
         expo = _mc_exponentials(T, u)  # indexed [a, b, s]
         assert expo.shape == (T.shape[1], T.shape[1], N_SAMP)
@@ -142,7 +142,7 @@ def test_mc_kernel_matches_einsum_reference(n_tx, M, snr_db, n_b, n_e):
         assert np.all(np.isfinite(per_sample))
         assert np.max(np.abs(per_sample - want)) <= 1e-12
 
-        mi, grad = objective._link(F, samples, v)
+        mi, grad = objective._link(side, v)
         want_grad = ref_side_gradient(F, z, noise, v, signals, p1)
         assert np.all(np.isfinite(grad))
         assert abs(mi - np.mean(want)) <= 1e-12
@@ -158,7 +158,8 @@ def test_mc_kernel_matches_einsum_reference(n_tx, M, snr_db, n_b, n_e):
 def two_term_link(cache, F, samples, v):
     """One link's sampled MI and gradient as two terms, each with its own contraction.
 
-    The pair term is ``_pair_pull`` of the summed pair weights P; the sample
+    The pair term is ``_pair_pull`` of the summed pair weights P on the
+    link's pull basis [conj(B); 1j conj(B)]; the sample
     term contracts M = sum_s (r_s - c_s) z_s (K x N_t) with conj(S), from
     the samples' own copies z_s = F^H w_s.  The chunks, kernels and value are
     ``_mc_link``'s, so the value is equal bit for bit.
@@ -167,7 +168,7 @@ def two_term_link(cache, F, samples, v):
     noise = complex_rows(samples)
     z = noise @ F.conj()
     z = np.hstack([z.real, z.imag])  # [Re z, Im z], S x 2N_t
-    T = _noiseless_points(F, v, cache.signals, cache.p1)
+    T = _noiseless_points(F, v, cache.symbols, cache.p1)
     points = (2 * np.concatenate([T.real, T.imag])).T
     X = np.exp(metrics._sq_distances(T, -1.0))
     np.fill_diagonal(X, 0.0)
@@ -193,11 +194,12 @@ def two_term_link(cache, F, samples, v):
             P += X * (g @ e.T)
             r_minus_c = Xe * g - e * (X @ g)
         M += r_minus_c @ z[chunk]
-    term_u = optim._pair_pull(T, P, F, cache.signals_h)
+    basis = _point_basis(F, cache.symbols, cache.p1).conj()
+    term_u = optim._pair_pull(T, P, np.stack([basis, 1j * basis]))  # carries sqrt(p1)
     n_tx = cache.n_tx
     term_z = np.sum(cache.signals.conj() * (M[:, :n_tx] + 1j * M[:, n_tx:]).T, axis=1)
-    scale = np.sqrt(cache.p1) / (K * n_samp * LN2)
-    return np.log2(K) - total / (K * n_samp), scale * (term_u + term_z)
+    scale = 1.0 / (K * n_samp * LN2)
+    return np.log2(K) - total / (K * n_samp), scale * (term_u + np.sqrt(cache.p1) * term_z)
 
 
 def one_pull_cases():
@@ -257,7 +259,7 @@ def test_factored_and_direct_branches_agree(monkeypatch, n_tx, M, snr_db, n_b, n
     objective, v = kernel_instance(n_tx, M, snr_db, n_b, n_e)
     links = sampled_links(objective)
     cache = objective.cache
-    points = [_noiseless_points(F, v, cache.signals, cache.p1) for F, _ in links]
+    points = [_noiseless_points(F, v, cache.symbols, cache.p1) for F, _ in links]
     per_sample = [_mc_link(T, samples) for T, (_, samples) in zip(points, links)]
     value, grad = objective.value_and_gradient(v)
 
@@ -288,7 +290,7 @@ def test_sr_gd_over_chunks_mixes_the_branches(monkeypatch, n_tx, M, snr_db, n_b,
     cache = objective.cache
     spreads = []
     for F, samples in sampled_links(objective):
-        T = _noiseless_points(F, v, cache.signals, cache.p1)
+        T = _noiseless_points(F, v, cache.symbols, cache.p1)
         u = (2 * np.concatenate([T.real, T.imag])).T @ samples
         spread = u.max(axis=0) - u.min(axis=0)
         spreads += [spread[start : start + 10].max() for start in range(0, N_SAMP, 10)]
@@ -325,7 +327,7 @@ def test_spread_selects_the_branch(monkeypatch, snr_db, factored):
     channels, proj, powers, codebook, cache = make_instance(seed=3, sigma2=10 ** (-snr_db / 10))
     v = np.ones(4, dtype=complex)
     objective = _SampledSecrecyObjective(cache, N_SAMP, np.random.default_rng(5))
-    T = _noiseless_points(cache.factor_b, v, cache.signals, cache.p1)
+    T = _noiseless_points(cache.factor_b, v, cache.symbols, cache.p1)
     calls = count_direct_calls(monkeypatch)
     _mc_link(T, objective.bob)
     assert (len(calls) == 0) == factored
@@ -352,7 +354,7 @@ def test_secrecy_rate_and_sr_gd_share_one_estimator(monkeypatch, snr_db, factore
 
     factors = _whitened_channels(channels, proj, powers)
     links = _sampled_links(*factors, N_SAMP, np.random.default_rng(7))
-    points = [_noiseless_points(F, v, cache.signals, powers.p1) for F in factors]
+    points = [_noiseless_points(F, v, cache.symbols, powers.p1) for F in factors]
     mi_b, mi_e = (float(np.mean(_mc_link(T, W))) for T, W in zip(points, links))
     assert mi_b > mi_e > 0
     assert est.value == mi_b - mi_e
@@ -455,7 +457,7 @@ def test_chunked_estimates_match_one_kernel_call(monkeypatch, n_tx, M, n_samp, c
     v = np.ones(n_tx, dtype=complex)
     factors = _whitened_channels(channels, proj, powers)
     for F, samples in zip(factors, _sampled_links(*factors, n_samp, np.random.default_rng(2))):
-        T = _noiseless_points(F, v, codebook.signal_matrix(), powers.p1)
+        T = _noiseless_points(F, v, codebook.symbols, powers.p1)
         widths = count_chunk_widths(monkeypatch)
         got = _mc_link(T, samples)
         assert len(widths) == chunks and sum(widths) == n_samp
@@ -481,9 +483,9 @@ def test_pairwise_exponentials_are_formed_once_per_link_evaluation(monkeypatch, 
     spied = ((metrics, "_sq_distances"), (metrics, "_mc_chunk"), (metrics, "_mc_link"))
     for module, name in spied + ((optim, "_mc_link"),):
 
-        def spy(*args, _fn=getattr(module, name), _name=name):
+        def spy(*args, _fn=getattr(module, name), _name=name, **kwargs):
             counts[_name] += 1
-            return _fn(*args)
+            return _fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, spy)
     if sr_gd:

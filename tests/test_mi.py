@@ -273,7 +273,7 @@ def test_secrecy_rate_estimate_value_and_paired_error(n_samp):
     factors = _whitened_channels(channels, proj, powers)
     links = _sampled_links(*factors, n_samp, np.random.default_rng(4))
     per_link = [
-        _mc_link(_noiseless_points(F, v, codebook.signal_matrix(), powers.p1), samples)
+        _mc_link(_noiseless_points(F, v, codebook.symbols, powers.p1), samples)
         for F, samples in zip(factors, links)
     ]
     np.testing.assert_array_equal(links[0], links[1])  # N_b = N_e here

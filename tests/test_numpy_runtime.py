@@ -26,7 +26,7 @@ import pytest
 
 from smsec import metrics, optim
 from smsec.metrics import QuadFormCache
-from smsec.model import _noiseless_points
+from smsec.model import _noiseless_points, _point_basis
 from smsec.optim import _SampledSecrecyObjective
 
 from conftest import make_instance
@@ -133,22 +133,24 @@ def test_grams_are_not_constructor_arguments():
 def test_the_link_stack_is_derived_from_the_factors(n_b, n_e):
     *_, cache = make_instance(seed=2, n_tx=4, n_b=n_b, n_e=n_e)
     swapped = dataclasses.replace(cache, factor_b=cache.factor_e, factor_e=cache.factor_b)
+    # The links' point bases are stacked, the shorter link padded by zero rows.
     for c in (cache, swapped):
         n_rx = max(n_b, n_e)
-        assert c.factors.shape == (2, n_rx, 4)
-        for stacked, F in zip(c.factors, (c.factor_b, c.factor_e)):
-            assert np.array_equal(stacked[: F.shape[0]], F)
+        assert c.basis.shape == (2, n_rx, 4, c.M)
+        for stacked, F in zip(c.basis, (c.factor_b, c.factor_e)):
+            assert np.array_equal(stacked[: F.shape[0]], _point_basis(F, c.symbols, c.p1))
             assert not np.any(stacked[F.shape[0] :])
-    with pytest.raises(TypeError):
-        QuadFormCache(
-            signals=cache.signals,
-            p1=cache.p1,
-            n_tx=cache.n_tx,
-            M=cache.M,
-            factor_b=cache.factor_b,
-            factor_e=cache.factor_e,
-            factors=cache.factors,
-        )
+    for name in ("basis", "pull_basis", "symbols"):
+        with pytest.raises(TypeError):
+            QuadFormCache(
+                signals=cache.signals,
+                p1=cache.p1,
+                n_tx=cache.n_tx,
+                M=cache.M,
+                factor_b=cache.factor_b,
+                factor_e=cache.factor_e,
+                **{name: getattr(cache, name)},
+            )
 
 
 def test_sr_gd_evaluation_allocates_no_sample_sized_array():
@@ -179,11 +181,12 @@ def test_a_sampled_link_stores_its_samples_once():
         assert np.array_equal(samples, np.concatenate([want.real.T, want.imag.T]))
 
 
-def allocating_mc_link(T, samples, weights=False, work=None):
-    """``_mc_link``'s factored chunks with a new array for each K x chunk result (``work`` is ignored).
+def allocating_mc_link(T, samples, weights=False, work=None, radius=None):
+    """``_mc_link``'s factored chunks with a new array for each K x chunk result.
 
-    A chunk beyond the spread limit takes ``_mc_chunk``'s direct result
-    without a workspace.
+    ``work`` is ignored, and so is ``radius``: every chunk takes the exact
+    spread check.  A chunk beyond the spread limit takes ``_mc_chunk``'s
+    direct result without a workspace.
     """
     K, n_samp = T.shape[1], samples.shape[1]
     width = metrics._mc_chunk_width(K, n_samp)
@@ -198,13 +201,13 @@ def allocating_mc_link(T, samples, weights=False, work=None):
         top = u.max(axis=0)
         if np.max(top - u.min(axis=0)) > metrics._MC_SPREAD_LIMIT:
             accumulators = (P, G, Y) if weights else None
-            got = metrics._mc_chunk(T, points, X, chunk, None, accumulators)
+            got = metrics._mc_chunk(T, points, X, chunk, True, None, accumulators)
         else:
             e = np.exp(u - top)
             Xe = X @ e
             inner = np.log2(Xe / e + 1.0)
             if not weights:
-                got = np.log2(K) - np.mean(inner, axis=0)
+                got = np.log2(K) - (np.ones(K) @ inner) / K
             else:
                 got = np.sum(inner)
                 g = 1.0 / (e + Xe)
@@ -231,7 +234,7 @@ def test_workspace_equals_the_allocating_kernel(monkeypatch, n_tx, M, snr_db, n_
     v = rng.standard_normal(n_tx) + 1j * rng.standard_normal(n_tx)
 
     for F, samples in ((cache.factor_b, objective.bob), (cache.factor_e, objective.eve)):
-        T = _noiseless_points(F, v, cache.signals, cache.p1)
+        T = _noiseless_points(F, v, cache.symbols, cache.p1)
         for weights in (False, True):
             want = allocating_mc_link(T, samples, weights)
             got = metrics._mc_link(T, samples, weights, objective._work)

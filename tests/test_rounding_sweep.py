@@ -166,7 +166,7 @@ def test_swept_log_terms_equal_the_lifted_log_sums(n_tx, M, p1):
     block = np.concatenate([lead[None], directions])
     t_grid = np.unique(np.concatenate([np.linspace(n_tx / 64, n_tx, 64), [1.3]]))
     for side in ("bob", "eve"):
-        T = _noiseless_points(cache.factor(side), block, cache.signals, cache.p1)
+        T = _noiseless_points(cache.factor(side), block, cache.symbols, cache.p1)
         got = _swept_log_terms(T, t_grid)
         assert got.shape == (len(block), len(t_grid), cache.n_signals)
         D = block[:, :, None] * block.conj()[:, None, :]
