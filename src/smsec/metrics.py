@@ -17,8 +17,9 @@ Two routes to the same quantity:
   bound is additionally floored at 0 because I >= 0.
 
 The closed form is driven by whitened pairwise distances.  For the SM
-symbols s_k (the columns of S = ``codebook.signal_matrix()``, N_t x K) and
-a precoding vector v,
+symbols s_k (the columns of the signal matrix S, N_t x K, which
+``SMCodebook.signal_matrix()`` gives and no kernel forms) and a precoding
+vector v,
 
     ||Q^{-1/2} C diag(v) (s_k - s_k')||^2 = v^H A_{kk'} v,
     A_{kk'} = R * conj(d d^H)  elementwise, d = s_k - s_k', R = C^H Q^{-1} C.
@@ -31,7 +32,7 @@ is a difference of entries of one K x K Gram matrix,
 
     v^H A_{kk'} v = G_kk + G_k'k' - 2 Re G_kk',  G = X^H R X,
 
-so all K^2 quadratic forms cost O(K N_t^2 + K^2 N_t) in this form.
+which dense products with S would take in O(K N_t^2 + K^2 N_t).
 
 Every *vector* quantity is taken from the received constellation.  With
 F = Q^{-1/2} C the whitened channel (N x N_t) and t_k = sqrt(p1) F diag(v) s_k
@@ -53,19 +54,19 @@ the same points (``_pair_pull`` in ``smsec.optim``), contracting over
 (antenna, symbol) with the pull basis [conj(B); 1j conj(B)] instead of
 through S^H, in O(K^2 N + K N) per link; the rounding sweep there scores
 each direction d on the points sqrt(p1) F diag(d) S: power t only scales
-every distance by t.  :class:`QuadFormCache` is built from S and each
-link's F alone; it derives the M constellation points, both links' point
-and pull bases, S^H (which only the lifted kernels below read), each link's
-N_t x N_t Gram R = F^H F and the rank bound min(N, N_t) from them, so one
-whitening per link (an eigendecomposition of Q, in :func:`whiten`) serves
-every kernel, and the module needs only numpy.  It stacks both links'
-bases as one array, the link with fewer receive antennas padded by zero
-rows, so that ``asr`` and ASR-GD take both links' points, distances, log
-terms and pulls in one stacked pass.  A zero row adds an exact zero to every
-sum, so the stacked results equal the per-link ones bit for bit wherever
-BLAS sums the taller products in the same order: at every shape up to
-K = 64 that the tests cover, but not at K = 128 with (N_b, N_e) = (1, 6),
-where ASR-GD's gradient moves by a few ulps.
+every distance by t.  :class:`QuadFormCache` is built from the M
+constellation points and each link's F alone; it derives both links' point
+and pull bases, each link's N_t x N_t Gram R = F^H F and the rank bound
+min(N, N_t) from them, so one whitening per link (an eigendecomposition of
+Q, in :func:`whiten`) serves every kernel, and the module needs only
+numpy.  It stacks both links' bases as one array, the link with fewer
+receive antennas padded by zero rows, so that ``asr`` and ASR-GD take both
+links' points, distances, log terms and pulls in one stacked pass.  A zero
+row adds an exact zero to every sum, so the stacked results equal the
+per-link ones bit for bit wherever BLAS sums the taller products in the
+same order: at every shape up to K = 64 that the tests cover, but not at
+K = 128 with (N_b, N_e) = (1, 6), where ASR-GD's gradient moves by a few
+ulps.
 
 Lifted *matrices* keep the trace form.  Under W = v v^H each quadratic
 form is a trace, v^H A_{kk'} v = tr(W A_{kk'}), and G above is
@@ -74,7 +75,12 @@ W and ``_lifted_eval`` their per-symbol log terms with the row-softmax
 weights.  Only true lifted W use them (``relaxed_asr``, the SCA iterates
 and the paper-indexed ``f1``/``f2``/``grad_f1``), and every lifted pair
 gradient comes from the weighted-sum kernel ``_weighted_pair_sum`` in
-``smsec.optim``.  At W = v v^H the two forms agree to rounding.
+``smsec.optim``.  They too read the SM structure, not S: entry
+((n,m), (n',m')) of G is conj(s_m) (R * W^T)_nn' s_m', one broadcast of
+the N_t x N_t matrix against the M x M symbol products reshaped
+antenna-major to K x K, and the weighted sum contracts its K x K weights
+with the symbols over each (antenna, symbol) axis, both in O(K^2 + N_t^2).
+At W = v v^H the two forms agree to rounding.
 
 The lifted log-sum-exps are evaluated with max-shifting so that high
 signal-to-noise ratios do not underflow; a lifted W need not be PSD (FISTA
@@ -229,14 +235,16 @@ def log2sumexp2(x: np.ndarray, axis: int = -1) -> np.ndarray:
 class QuadFormCache:
     """What the pairwise quadratic forms of both links are computed from.
 
-    ``signals`` is the SM signal matrix S (N_t x K), column k the symbol
-    s_k in antenna-major order.  ``factor_b``/``factor_e`` are the whitened
-    channels F = Q^{-1/2} C (N x N_t) of the legitimate / eavesdropper link,
-    from which every vector kernel (``asr``, ``link_rate_approx``, ASR-GD
-    and the rounding sweep) forms the received points; they are the
-    matrices the Monte-Carlo rate whitens with, bit for bit.  Everything
-    else is derived from them at construction: ``symbols`` holds the M
-    constellation points (row 0 of S: s_{1,m} = e_1 s_m); ``basis`` stacks
+    ``symbols`` holds the M constellation points s_m: every SM symbol is
+    s_{n,m} = e_n s_m, column k = (n-1)M + (m-1) of the signal matrix S
+    (N_t x K) in antenna-major order, so no kernel needs S itself.
+    ``factor_b``/``factor_e`` are the whitened channels F = Q^{-1/2} C
+    (N x N_t) of the legitimate / eavesdropper link, from which every vector
+    kernel (``asr``, ``link_rate_approx``, ASR-GD and the rounding sweep)
+    forms the received points; they are the matrices the Monte-Carlo rate
+    whitens with, bit for bit.  ``n_tx`` and ``M`` are read from the factors
+    and the symbols, so a cache cannot disagree with its own arrays.
+    Everything else is derived from them at construction: ``basis`` stacks
     both links' point bases B_inm = sqrt(p1) F_in s_m as one
     (2, N_max, N_t, M) array, the link with fewer receive antennas padded by
     zero rows, from which every vector kernel forms its received points by
@@ -246,44 +254,44 @@ class QuadFormCache:
     of each link, which the gradient pulls contract with (:meth:`bases`
     gives one link's pair); ``gram_b``/``gram_e`` are the Grams
     R = F^H F = C^H Q^{-1} C (their Hermitian part, :func:`_factor_gram`),
-    which only the lifted kernels of a matrix W take (``relaxed_asr``, SCA,
-    ``f1``/``f2``/``grad_f1``), and ``signals_h`` is S^H, so that those
-    lifted pair kernels do not conjugate S on every call.
-    ``dataclasses.replace`` with new factors therefore rederives the bases
-    and both Grams.  The pair matrix of symbols (k, k') on a link is R * conj(d d^H) with
+    which only the lifted kernels of a matrix W take, with the symbols
+    (``relaxed_asr``, SCA, ``f1``/``f2``/``grad_f1``).  ``dataclasses.replace``
+    with new factors therefore rederives the bases and both Grams.  The
+    pair matrix of symbols (k, k') on a link is R * conj(d d^H) with
     d = s_k - s_k'; the kernels never form it, and :meth:`pair_matrix`
-    builds one on demand for checks.  The arrays
-    take O(N_t K + N_t^2 + N K) memory.  Immutable after construction;
-    safe to share across threads.
+    builds one on demand for checks.  The arrays take O(N_t^2 + N K) memory.
+    Immutable after construction; safe to share across threads.
     """
 
-    signals: np.ndarray
+    symbols: np.ndarray
     p1: float
-    n_tx: int
-    M: int
     factor_b: np.ndarray
     factor_e: np.ndarray
-    symbols: np.ndarray = field(init=False, repr=False, compare=False)
     basis: np.ndarray = field(init=False, repr=False, compare=False)
     pull_basis: np.ndarray = field(init=False, repr=False, compare=False)
     gram_b: np.ndarray = field(init=False, repr=False, compare=False)
     gram_e: np.ndarray = field(init=False, repr=False, compare=False)
-    signals_h: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         links = (self.factor_b, self.factor_e)
         n_rx = max(F.shape[0] for F in links)
-        factors = np.zeros((2, n_rx, self.factor_b.shape[1]), dtype=np.result_type(*links))
+        factors = np.zeros((2, n_rx, self.n_tx), dtype=np.result_type(*links))
         for out, F in zip(factors, links):
             out[: F.shape[0]] = F
-        object.__setattr__(self, "symbols", self.signals[0, : self.M].copy())
         basis = _point_basis(factors, self.symbols, self.p1)
         object.__setattr__(self, "basis", basis)
         conj = np.conjugate(basis)
         object.__setattr__(self, "pull_basis", np.stack([conj, 1j * conj], axis=1))
         object.__setattr__(self, "gram_b", _factor_gram(self.factor_b))
         object.__setattr__(self, "gram_e", _factor_gram(self.factor_e))
-        object.__setattr__(self, "signals_h", self.signals.conj().T)
+
+    @property
+    def n_tx(self) -> int:
+        return self.factor_b.shape[1]
+
+    @property
+    def M(self) -> int:
+        return len(self.symbols)
 
     @property
     def n_signals(self) -> int:
@@ -319,8 +327,16 @@ class QuadFormCache:
 
         v^H A_{kk'} v is the whitened distance between symbols k and k'
         (0-based, antenna-major) under precoder v; zero when k == k'.
+        Raises ``ValueError`` unless both indices lie in [0, K).
         """
-        d = self.signals[:, k] - self.signals[:, kp]
+        K = self.n_signals
+        if not (0 <= k < K and 0 <= kp < K):
+            raise ValueError(f"symbol pair ({k}, {kp}) out of range [0, {K})")
+        d = np.zeros(self.n_tx, dtype=complex)
+        n, m = divmod(k, self.M)
+        d[n] += self.symbols[m]
+        n, m = divmod(kp, self.M)
+        d[n] -= self.symbols[m]
         return self.gram(side) * np.outer(d.conj(), d)
 
     def pair_index(self, n: int, m: int) -> int:
@@ -385,7 +401,7 @@ def build_cache(
     powers: PowerConfig,
     codebook: SMCodebook,
 ) -> QuadFormCache:
-    """Whitened channels of both links plus the SM signal matrix.
+    """Whitened channels of both links plus the SM constellation points.
 
     The factors are :func:`_whitened_channels`' F, the matrices the
     Monte-Carlo rate draws its links with (:func:`_sampled_links`), so the
@@ -393,17 +409,11 @@ def build_cache(
     cache derives each link's Gram from its factor, so every link is
     whitened once.
     """
-    n_tx = codebook.n_tx
-    if channels.H.shape[1] != n_tx:
+    if channels.H.shape[1] != codebook.n_tx:
         raise ValueError("channel and codebook transmit dimensions differ")
     factor_b, factor_e = _whitened_channels(channels, proj, powers)
     return QuadFormCache(
-        signals=codebook.signal_matrix(),
-        p1=powers.p1,
-        n_tx=n_tx,
-        M=codebook.M,
-        factor_b=factor_b,
-        factor_e=factor_e,
+        symbols=codebook.symbols, p1=powers.p1, factor_b=factor_b, factor_e=factor_e
     )
 
 
@@ -430,12 +440,20 @@ def _pair_traces(cache: QuadFormCache, side: str, W: np.ndarray) -> np.ndarray:
     """Real traces tr(W A_{kk'}) for every pair, shape (..., K, K).
 
     tr(W A_{kk'}) = d^H (R * W^T) d with d = s_k - s_k', so all K^2 traces
-    are pairwise distances under one K x K Gram matrix S^H (R * W^T) S.  A
-    stack of matrices W (shape (B, N_t, N_t)) gives a stack of traces, each
-    equal to the traces of its own matrix.  Each trace is
+    are pairwise distances under one K x K Gram matrix G = S^H (R * W^T) S.
+    Each symbol is s_{n,m} = e_n s_m, so G is never a product with S: its
+    entry ((n,m), (n',m')) is conj(s_m) (R * W^T)_nn' s_m', one broadcast of
+    the N_t x N_t matrix against the symbols reshaped antenna-major to
+    K x K, in O(K^2 + N_t^2) instead of O(K N_t^2 + K^2 N_t).  A stack of
+    matrices W (shape (B, N_t, N_t)) gives a stack of traces, each equal to
+    the traces of its own matrix.  Each trace is
     Re(G_kk + G_k'k' - G_kk' - G_k'k) of that Gram G.
     """
-    G = cache.signals_h @ (cache.gram(side) * W.swapaxes(-1, -2)) @ cache.signals
+    s, K = cache.symbols, cache.n_signals
+    RW = cache.gram(side) * W.swapaxes(-1, -2)
+    # conj(s_m) (R * W^T)_nn' s_m', indexed [..., n, m, n', m'].
+    G = (s.conj()[:, None] * RW[..., :, None, :])[..., None] * s
+    G = G.reshape(*G.shape[:-4], K, K)
     g = G.diagonal(axis1=-2, axis2=-1).real
     out = g[..., :, None] + g[..., None, :]
     real = G.real
@@ -878,10 +896,15 @@ def secrecy_rate_mc_estimate(
     paired per-sample differences I_b,s - I_e,s, which share their noise
     draws (:func:`_sampled_links`, as SR-GD draws its frozen samples), so it
     is the error of the unfloored difference of the means.  The per-sample
-    values come from :func:`_mc_link`, in chunks of bounded memory.
+    values come from :func:`_mc_link`, in chunks of bounded memory.  ``v``
+    is one precoder (N_t,); :func:`secrecy_rate_mc` takes a stack.
     """
-    V = np.asarray(v, dtype=complex)[None]
-    ((per_b, per_e),) = _lane_samples(channels, proj, powers, codebook, V, n_samp, rng)
+    v = np.asarray(v, dtype=complex)
+    if v.ndim != 1:
+        raise ValueError(
+            f"v must be one precoder, got shape {v.shape}; secrecy_rate_mc takes a stack"
+        )
+    ((per_b, per_e),) = _lane_samples(channels, proj, powers, codebook, v[None], n_samp, rng)
     return MIEstimate(
         value=_floored_rate(per_b, per_e), std_error=_std_error(per_b - per_e), n_samples=n_samp
     )

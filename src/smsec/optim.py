@@ -39,9 +39,11 @@ sqrt(p1) F_in s_m times v_n, one broadcast, and each pull contracts over
 (antenna, symbol) with the matching pull basis, in O(K^2 N + K N) per link
 instead of O(K^2 N + K N N_t).  Only
 the true lifted W of SCA use ``_pair_traces`` (the pair values
-tr(W A_{kk'}) over one K x K Gram of the SM signal matrix S and S^H) and
+tr(W A_{kk'}) over one K x K Gram S^H (R * W^T) S) and
 :func:`_weighted_pair_sum`, the softmax-weighted sums of the A_{kk'} that
-every lifted pair gradient is built from.
+every lifted pair gradient is built from; they take the same structure,
+broadcasting R * W^T against the symbol products and contracting the
+weights with the symbols, in O(K^2 + N_t^2) with no product against S.
 
 Objectives are optimized unclamped; the [.]^+ floor applies only to
 reported secrecy rates (clamping would kill gradients wherever the
@@ -264,7 +266,7 @@ def _asr_value_and_gradient(
     basis carries the factor).  The gradient is the eavesdropper's term
     minus the legitimate one's, over K.  The pair costs O(K^2 N + K N)
     with K = M*N_t and N the link's receive antennas; the lifted form at
-    W = v v^H costs O(K N_t^2 + K^2 N_t) and agrees to rounding.
+    W = v v^H costs O(K^2 + N_t^2) and agrees to rounding.
     """
     v = np.asarray(v, dtype=complex)
     T = _basis_points(cache.basis, v)
@@ -291,12 +293,12 @@ def _pair_pull(
     L = diag(r + c) - P - P^T and r, c the row and column sums of P.  Since
     t_a - t_b = sqrt(p1) F diag(s_a - s_b) v, it equals
     p1 (sum_ab P_ab A_ab) v, the lifted weighted sum
-    (:func:`_weighted_pair_sum`) applied to v, in O(K^2 N + K N) instead of
-    O(K^2 N_t + K N_t^2).  T L is formed on the real stacked points
-    Z = [Re T; Im T] as Z (r + c) - Z P - Z P^T, so P is never cast to
-    complex.  ``Y``, a real 2N x K array of the same layout, is added to it
-    first, so one contraction serves both: SR-GD passes its samples' term
-    there, ASR-GD passes none.  Column k = (n-1)M + (m-1) of S is e_n s_m,
+    (:func:`_weighted_pair_sum`) applied to v, in O(K^2 N + K N).  T L is
+    formed on the real stacked points Z = [Re T; Im T] as
+    Z (r + c) - Z P - Z P^T, so P is never cast to complex.  ``Y``, a real
+    2N x K array of the same layout, is added to it first, so one
+    contraction serves both: SR-GD passes its samples' term there, ASR-GD
+    passes none.  Column k = (n-1)M + (m-1) of S is e_n s_m,
     so with Q = T L + Y the sum's entry n is
     sum_im conj(B_inm) Q_i,(n,m) = sum_him D_hinm [Re Q; Im Q]_hi,(n,m): the
     real rows of Q, viewed as 2 x N x N_t x M, times D, summed over
@@ -313,37 +315,40 @@ def _pair_pull(
     return pull.sum(axis=(-4, -3, -1))
 
 
-def _weighted_pair_sum(
-    gram: np.ndarray, S: np.ndarray, S_h: np.ndarray, P: np.ndarray
-) -> np.ndarray:
+def _weighted_pair_sum(gram: np.ndarray, symbols: np.ndarray, P: np.ndarray) -> np.ndarray:
     """sum_{kk'} P_kk' A_kk' (N_t x N_t) for a K x K weight matrix P.
 
     A_kk' = R * conj(d d^H) for R = ``gram`` and the differences
-    d = s_k - s_k' of the columns of ``S`` (``S_h`` is S^H).  sum P_kk' d d^H
-    is S L S^H with L = diag(r + c) - P - P^T (r, c the row and column sums
-    of P), so the sum is R * conj(S L S^H).  The diagonal of P is dropped
-    first: pairs (k, k) have A_kk = 0, so their weight changes no sum, and
-    dropping it spares the identities a cancellation of two O(1) terms when
-    the softmax weight sits on the diagonal (high SNR).  The lifted pair
-    gradients come from this sum (:func:`_lifted_grad` for the SCA
-    iterates, :func:`grad_f1`).  It costs O(K^2 N_t + K N_t^2).  The
-    gradients of a vector v (ASR-GD, SR-GD) do not use it: they take the
-    same sum applied to v on the received points (:func:`_pair_pull`).
+    d = s_k - s_k' of the SM symbols, s_{n,m} = e_n s_m with s_m the M
+    constellation points ``symbols``.  sum P_kk' d d^H is S L S^H with
+    L = diag(r + c) - P - P^T (r, c the row and column sums of P), so the sum
+    is R * conj(S L S^H).  No product with S forms it: entry (n, n') of
+    conj(S L S^H) is sum_mm' conj(s_m) L_(n,m),(n',m') s_m', L contracted
+    with the symbols over its two (antenna, symbol) axes in turn.  The
+    diagonal of P is dropped first: pairs (k, k) have A_kk = 0, so their
+    weight changes no sum, and dropping it spares the identities a
+    cancellation of two O(1) terms when the softmax weight sits on the
+    diagonal (high SNR).  The lifted pair gradients come from this sum
+    (:func:`_lifted_grad` for the SCA iterates, :func:`grad_f1`).  It costs
+    O(K^2 + K N_t).  The gradients of a vector v (ASR-GD, SR-GD) do not use
+    it: they take the same sum applied to v on the received points
+    (:func:`_pair_pull`).
     """
-    K = P.shape[0]
+    K, M = P.shape[0], len(symbols)
+    n_tx = K // M
     P = P.copy()
     P.reshape(-1)[:: K + 1] = 0.0
     L = np.diag(P.sum(axis=1) + P.sum(axis=0))
     L -= P
     L -= P.T
-    out = S @ L @ S_h
-    np.conjugate(out, out=out)
+    # conj(S L S^H) = conj(S) L S^T, L being real: the same bits, one pass fewer.
+    out = (symbols.conj() @ L.reshape(n_tx, M, K)).reshape(n_tx, n_tx, M) @ symbols
     return np.multiply(gram, out, out=out)
 
 
 def _lifted_grad(cache: QuadFormCache, side: str, P: np.ndarray) -> np.ndarray:
     """(1/K) sum_k of the lifted log-sum-exp gradient for softmax weights P (Hermitian)."""
-    g = _weighted_pair_sum(cache.gram(side), cache.signals, cache.signals_h, P)
+    g = _weighted_pair_sum(cache.gram(side), cache.symbols, P)
     np.multiply(-cache.p1 / (2 * _LN2 * cache.n_signals), g, out=g)
     np.add(g, g.conj().T, out=g)
     g /= 2
@@ -524,7 +529,7 @@ def grad_f1(cache: QuadFormCache, W0: np.ndarray, n: int, m: int) -> np.ndarray:
     k = cache.pair_index(n, m)
     P = np.zeros((cache.n_signals, cache.n_signals))
     P[k] = _lifted_eval(cache, "eve", W0)[1][k]
-    sums = _weighted_pair_sum(cache.gram("eve"), cache.signals, cache.signals_h, P)
+    sums = _weighted_pair_sum(cache.gram("eve"), cache.symbols, P)
     return -cache.p1 / (2 * _LN2) * sums
 
 

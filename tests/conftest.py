@@ -42,6 +42,18 @@ def make_instance(
     return channels, proj, powers, codebook, cache
 
 
+def signal_matrix(cache, scheme: str = "psk"):
+    """The dense N_t x K signal matrix S of ``cache``'s codebook, which no kernel forms.
+
+    ``codebook.signal_matrix()`` of the ``scheme`` codebook at the cache's
+    shape, checked to carry the cache's symbols: the reference the tests
+    hold the structured kernels against.
+    """
+    codebook = S.make_codebook(cache.M, scheme, cache.n_tx)
+    assert np.array_equal(codebook.symbols, cache.symbols)
+    return codebook.signal_matrix()
+
+
 @pytest.fixture
 def instance():
     return make_instance(seed=7)

@@ -34,7 +34,7 @@ from smsec.metrics import (
 from smsec.model import _noiseless_points, _point_basis
 from smsec.optim import _SampledSecrecyObjective
 
-from conftest import make_instance
+from conftest import make_instance, signal_matrix
 
 LN2 = math.log(2.0)
 SHAPES = [(4, 2), (8, 4), (16, 4)]
@@ -125,7 +125,7 @@ def sampled_links(objective):
 @pytest.mark.parametrize("n_tx,M,snr_db,n_b,n_e", kernel_cases())
 def test_mc_kernel_matches_einsum_reference(n_tx, M, snr_db, n_b, n_e):
     objective, v = kernel_instance(n_tx, M, snr_db, n_b, n_e)
-    signals, p1 = objective.cache.signals, objective.cache.p1
+    signals, p1 = signal_matrix(objective.cache), objective.cache.p1
 
     values, grads = [], []
     for side, (F, samples) in zip(("bob", "eve"), sampled_links(objective)):
@@ -197,7 +197,7 @@ def two_term_link(cache, F, samples, v):
     basis = _point_basis(F, cache.symbols, cache.p1).conj()
     term_u = optim._pair_pull(T, P, np.stack([basis, 1j * basis]))  # carries sqrt(p1)
     n_tx = cache.n_tx
-    term_z = np.sum(cache.signals.conj() * (M[:, :n_tx] + 1j * M[:, n_tx:]).T, axis=1)
+    term_z = np.sum(signal_matrix(cache).conj() * (M[:, :n_tx] + 1j * M[:, n_tx:]).T, axis=1)
     scale = 1.0 / (K * n_samp * LN2)
     return np.log2(K) - total / (K * n_samp), scale * (term_u + np.sqrt(cache.p1) * term_z)
 

@@ -149,10 +149,8 @@ def test_asr_clamp(instance):
     *_, cache = instance
     # eavesdropper outgains the target when the roles are reversed
     swapped = QuadFormCache(
-        signals=cache.signals,
+        symbols=cache.symbols,
         p1=cache.p1,
-        n_tx=cache.n_tx,
-        M=cache.M,
         factor_b=cache.factor_e,
         factor_e=cache.factor_b,
     )
@@ -280,6 +278,18 @@ def test_secrecy_rate_estimate_value_and_paired_error(n_samp):
     diff = per_link[0] - per_link[1]
     want = np.std(diff, ddof=1) / np.sqrt(n_samp) if n_samp > 1 else 0.0
     assert est.std_error == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_secrecy_rate_estimate_rejects_a_stack_of_precoders():
+    # One precoder only: a stack is secrecy_rate_mc's, which the error names.
+    channels, proj, powers, codebook, _ = make_instance(seed=9)
+    V = np.ones((2, 4), dtype=complex)
+    rng = np.random.default_rng(4)
+    with pytest.raises(ValueError, match=r"shape \(2, 4\); secrecy_rate_mc takes a stack"):
+        secrecy_rate_mc_estimate(channels, proj, powers, codebook, V, 100, rng)
+    with pytest.raises(ValueError, match="one precoder"):
+        secrecy_rate_mc_estimate(channels, proj, powers, codebook, 1.0 + 0j, 100, rng)
+    assert secrecy_rate_mc(channels, proj, powers, codebook, V, 100, rng).shape == (2,)
 
 
 @pytest.mark.parametrize("n_samp", [0, -3])

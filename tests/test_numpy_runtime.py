@@ -118,10 +118,8 @@ def test_grams_are_not_constructor_arguments():
     *_, cache = make_instance(seed=2)
     with pytest.raises(TypeError):
         QuadFormCache(
-            signals=cache.signals,
+            symbols=cache.symbols,
             p1=cache.p1,
-            n_tx=cache.n_tx,
-            M=cache.M,
             factor_b=cache.factor_b,
             factor_e=cache.factor_e,
             gram_b=cache.gram_b,
@@ -140,17 +138,18 @@ def test_the_link_stack_is_derived_from_the_factors(n_b, n_e):
         for stacked, F in zip(c.basis, (c.factor_b, c.factor_e)):
             assert np.array_equal(stacked[: F.shape[0]], _point_basis(F, c.symbols, c.p1))
             assert not np.any(stacked[F.shape[0] :])
-    for name in ("basis", "pull_basis", "symbols"):
+    # The bases are derived, and n_tx and M are read from the factors and
+    # the symbols: none of them can be set to disagree with the arrays.
+    for name in ("basis", "pull_basis", "n_tx", "M"):
         with pytest.raises(TypeError):
             QuadFormCache(
-                signals=cache.signals,
+                symbols=cache.symbols,
                 p1=cache.p1,
-                n_tx=cache.n_tx,
-                M=cache.M,
                 factor_b=cache.factor_b,
                 factor_e=cache.factor_e,
                 **{name: getattr(cache, name)},
             )
+    assert (cache.n_tx, cache.M) == (cache.factor_b.shape[1], len(cache.symbols))
 
 
 def test_sr_gd_evaluation_allocates_no_sample_sized_array():

@@ -4,9 +4,15 @@ Every SM symbol is s_{n,m} = e_n s_m, so a link's received points
 T = sqrt(p1) F diag(v) S are the point basis B_inm = sqrt(p1) F_in s_m times
 v_n (``_point_basis``, ``_basis_points``), and each gradient pull contracts
 over (antenna, symbol) with the pull basis [conj(B); 1j conj(B)] instead of
-through S^H (``_pair_pull``).  These tests hold the broadcast against the
-dense product with S, the pull against the lifted weighted pair sum, SCA's
-lifted iterate against a frozen copy (SCA reads neither basis), the shared
+through S^H (``_pair_pull``).  The lifted kernels of a matrix W take the
+same structure: the traces' Gram S^H (R * W^T) S is a broadcast of R * W^T
+against the symbol products, and the weighted pair sum contracts its
+weights with the symbols (``_pair_traces``, ``_weighted_pair_sum``), so the
+cache holds no S.  These tests hold the broadcast against the dense product
+with S (``codebook.signal_matrix()``), the lifted kernels against their
+dense forms on PSK and QAM, ``pair_matrix`` against its dense form and its
+index check, the pull against the lifted weighted pair sum, SCA's lifted
+iterate against a frozen copy (SCA reads neither basis), the shared
 draw of the Monte-Carlo rate over a stack of precoders against one call per
 precoder, and the certified spread bound of ``_mc_link`` against the exact
 spread check it skips.
@@ -29,11 +35,12 @@ from smsec import (
     secrecy_rate_mc,
 )
 from smsec.harness import parse_config_text
-from smsec.metrics import _mc_exponentials, _mc_link, _sample_radius
+from smsec.metrics import _lifted_eval, _mc_exponentials, _mc_link, _pair_traces, _sample_radius
 from smsec.model import _basis_points, _noiseless_points
 from smsec.optim import _pair_pull, _weighted_pair_sum
 
-from conftest import make_instance
+from conftest import make_instance, signal_matrix
+from test_asr_fused import lifted_points, ref_pairwise, ref_weighted_pair_sum
 from test_mc_kernel import count_direct_calls, kernel_instance, sampled_links
 
 EPS = np.finfo(float).eps
@@ -65,15 +72,16 @@ def shape_instance(n_tx, M, scheme, n_b, n_e, snr_db=10.0):
     return cache, V
 
 
-def dense_points(F, v, cache):
-    """sqrt(p1) F diag(v) S, the product with the dense N_t x K signal matrix."""
-    return np.sqrt(cache.p1) * (F @ (v[:, None] * cache.signals))
+def dense_points(F, v, S, cache):
+    """sqrt(p1) F diag(v) S, the product with the dense N_t x K signal matrix S."""
+    return np.sqrt(cache.p1) * (F @ (v[:, None] * S))
 
 
 @pytest.mark.parametrize("n_tx,M,scheme,n_b,n_e", shape_cases())
 def test_sm_points_equal_the_dense_product(n_tx, M, scheme, n_b, n_e):
     cache, V = shape_instance(n_tx, M, scheme, n_b, n_e)
-    assert np.array_equal(cache.symbols, cache.signals[0, :M])
+    S = signal_matrix(cache, scheme)
+    assert np.array_equal(cache.symbols, S[0, :M])
     for side in ("bob", "eve"):
         F = cache.factor(side)
         basis = cache.bases(side)[0]
@@ -81,7 +89,7 @@ def test_sm_points_equal_the_dense_product(n_tx, M, scheme, n_b, n_e):
         stacked = _basis_points(basis, V)
         assert stacked.shape == (len(V), F.shape[0], n_tx * M)
         for v, got in zip(V, stacked):
-            want = dense_points(F, v, cache)
+            want = dense_points(F, v, S, cache)
             # Three complex products per entry on either side: a few ulps.
             assert np.all(np.abs(got - want) <= 8 * EPS * np.abs(want))
             single = _noiseless_points(F, v, cache.symbols, cache.p1)
@@ -109,16 +117,52 @@ def test_sm_pull_equals_the_lifted_weighted_sum(n_tx, M, scheme, n_b, n_e):
             P = rng.random((K, K))
             P /= P.sum(axis=1, keepdims=True)
             got = _pair_pull(_basis_points(basis, v), P, D)
-            lifted = _weighted_pair_sum(cache.gram(side), cache.signals, cache.signals_h, P)
+            lifted = _weighted_pair_sum(cache.gram(side), cache.symbols, P)
             want = cache.p1 * (lifted @ v)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("n_tx,M,scheme,n_b,n_e", shape_cases())
+def test_lifted_kernels_equal_the_dense_signal_matrix(n_tx, M, scheme, n_b, n_e):
+    # The lifted kernels read the symbols, not S: on QAM, whose symbols are
+    # complex and not of unit modulus, as on PSK, the traces are the
+    # distances under S^H (R * W^T) S and the weighted pair sum is
+    # R * conj(S L S^H), both within 1e-14 of the largest entry (worst seen
+    # 1.7e-16 and 4.1e-16, on QAM), the traces bit for bit at (4, 2).
+    cache, V = shape_instance(n_tx, M, scheme, n_b, n_e)
+    S = signal_matrix(cache, scheme)
+    for side in ("bob", "eve"):
+        R = cache.gram(side)
+        for W in lifted_points(n_tx, V[0]):
+            want = ref_pairwise(S.conj().T @ (R * W.T) @ S)
+            got = _pair_traces(cache, side, W)
+            if (n_tx, M) == (4, 2):
+                np.testing.assert_array_equal(got, want)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+            P = _lifted_eval(cache, side, W)[1]
+            want = ref_weighted_pair_sum(R, S, P)
+            got = _weighted_pair_sum(R, cache.symbols, P)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_pair_matrix_checks_its_indices():
+    *_, codebook, cache = make_instance(seed=5)
+    K = cache.n_signals
+    for k, kp in ((-1, 0), (0, -1), (K, 0), (0, K)):
+        with pytest.raises(ValueError, match="out of range"):
+            cache.pair_matrix("bob", k, kp)
+    S = codebook.signal_matrix()
+    d = S[:, 5] - S[:, 2]
+    want = cache.gram("eve") * np.outer(d, d.conj()).conj()
+    assert np.array_equal(cache.pair_matrix("eve", 5, 2), want)
+
+
 def test_sca_iterate_is_unchanged(monkeypatch):
     # SCA's kernels are the lifted ones, which read neither basis: its
-    # iterate is the frozen one bit for bit, taken before the received
-    # constellations were built on the SM structure (one BLAS thread,
-    # numpy 2.4.6).
+    # iterate is the frozen one bit for bit, taken before any kernel was
+    # built on the SM structure and the lifted ones still multiplied by the
+    # dense S (one BLAS thread, numpy 2.4.6).
     def unused(*args):
         raise AssertionError("SCA called a received-constellation kernel")
 
